@@ -1,5 +1,8 @@
 #include "datapath.hh"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "sim/logging.hh"
 #include "trace/tracer.hh"
 
@@ -25,6 +28,10 @@ Datapath::Datapath(std::string name, EventQueue &eq, ClockDomain domain,
     if (params.lanes == 0)
         fatal("datapath needs at least one lane");
     eq.registerStats(stats());
+    fullBudget = {params.intAluPerLane, params.intMulPerLane,
+                  params.fpAddPerLane,  params.fpMulPerLane,
+                  1,                    params.otherPerLane,
+                  params.memOpsPerLane};
     for (unsigned l = 0; l < params.lanes; ++l)
         laneTracks.push_back(format("%s.lane%u", this->name().c_str(), l));
 }
@@ -68,7 +75,7 @@ Datapath::attachCache(Cache *cache_, AladdinTlb *tlb_,
             if (!hit) {
                 // The miss kept its lane stalled until now; hits were
                 // uncounted at accept time.
-                LaneState &lane = lanes[laneOf(n)];
+                LaneState &lane = lanes[nodes[n].lane];
                 GENIE_ASSERT(lane.pendingMem > 0,
                              "miss completion with no pending access");
                 --lane.pendingMem;
@@ -94,21 +101,23 @@ Datapath::start(DoneCallback done)
     startCycle = curCycle();
     lastTickAt = maxTick;
 
+    numWaves = (trace.numIterations + params.lanes - 1) / params.lanes;
+    if (numWaves == 0)
+        numWaves = 1;
+    buildNodeInfo();
+
     pendingParents.assign(n, 0);
     for (NodeId i = 0; i < n; ++i)
         pendingParents[i] = dddg.parents(i);
 
-    numWaves = (trace.numIterations + params.lanes - 1) / params.lanes;
-    if (numWaves == 0)
-        numWaves = 1;
     waveRemaining.assign(numWaves, 0);
     earlyReady.assign(numWaves, {});
-    for (NodeId i = 0; i < n; ++i)
-        ++waveRemaining[waveOf(i)];
+    for (const NodeInfo &info : nodes)
+        ++waveRemaining[info.wave];
 
     lanes.assign(params.lanes, LaneState{});
-    issued.assign(params.lanes, IssueCounters{});
     cycleStamp = curCycle();
+    refillBudgets(cycleStamp);
 
     for (NodeId i = 0; i < n; ++i) {
         if (pendingParents[i] == 0)
@@ -118,15 +127,76 @@ Datapath::start(DoneCallback done)
 }
 
 void
+Datapath::buildNodeInfo()
+{
+    // The compute issue classes are FuKind values, so one index serves
+    // the budget slot and the fuOps counter.
+    static_assert(
+        static_cast<int>(IssueClass::IntAlu) ==
+            static_cast<int>(FuKind::IntAlu) &&
+        static_cast<int>(IssueClass::FpDiv) ==
+            static_cast<int>(FuKind::FpDiv) &&
+        static_cast<int>(IssueClass::Other) ==
+            static_cast<int>(FuKind::Other) &&
+        static_cast<std::size_t>(IssueClass::SpadAccess) == memSlot);
+
+    nodes.assign(trace.ops.size(), NodeInfo{});
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const TraceOp &op = trace.ops[i];
+        NodeInfo &info = nodes[i];
+        info.lane = op.iteration % params.lanes;
+        info.wave = op.iteration / params.lanes;
+        if (!isMemoryOp(op.op)) {
+            info.cls = static_cast<IssueClass>(fuKindOf(op.op));
+            info.latency = static_cast<std::uint8_t>(latencyOf(op.op));
+            continue;
+        }
+        if (params.perfectMemory) {
+            info.cls = IssueClass::PerfectMem;
+            continue;
+        }
+
+        // In cache mode, arrays wired to the scratchpad (private
+        // intermediates and register-promoted small constant tables)
+        // bypass the cache.
+        auto arr = static_cast<std::size_t>(op.arrayId);
+        bool isScratchArray =
+            mode == MemMode::ScratchpadDma ||
+            (arr < spadIds.size() && spadIds[arr] >= 0);
+        if (!isScratchArray) {
+            info.cls = IssueClass::CacheAccess;
+            continue;
+        }
+        GENIE_ASSERT(spad && arr < spadIds.size() && spadIds[arr] >= 0,
+                     "array '%s' not mapped to a scratchpad",
+                     trace.arrays[arr].name.c_str());
+        info.cls = IssueClass::SpadAccess;
+        info.isWrite = op.op == Opcode::Store;
+        info.spadArray = static_cast<std::int16_t>(spadIds[arr]);
+        info.bank = static_cast<std::uint32_t>(
+            spad->bankOf(spadIds[arr], op.offset));
+        if (op.op == Opcode::Load && feBits && arr < feIds.size() &&
+            feIds[arr] >= 0) {
+            std::size_t chunk = feBits->chunkOf(op.offset);
+            GENIE_ASSERT(chunk <= UINT32_MAX, "ready-bit chunk overflow");
+            info.cls = IssueClass::ReadyBitLoad;
+            info.feArray = static_cast<std::int16_t>(feIds[arr]);
+            info.chunk = static_cast<std::uint32_t>(chunk);
+        }
+    }
+}
+
+void
 Datapath::enqueueReady(NodeId n)
 {
-    std::uint32_t w = waveOf(n);
-    if (w == currentWave) {
-        lanes[laneOf(n)].ready.push_back(n);
+    const NodeInfo &info = nodes[n];
+    if (info.wave == currentWave) {
+        lanes[info.lane].ready.push_back(n);
         scheduleTick();
     } else {
-        GENIE_ASSERT(w > currentWave, "ready node in a finished wave");
-        earlyReady[w].push_back(n);
+        GENIE_ASSERT(info.wave > currentWave,
+                     "ready node in a finished wave");
+        earlyReady[info.wave].push_back(n);
     }
 }
 
@@ -155,7 +225,17 @@ Datapath::resetCycleCounters()
     Cycles now = curCycle();
     if (now != cycleStamp) {
         cycleStamp = now;
-        std::fill(issued.begin(), issued.end(), IssueCounters{});
+        refillBudgets(now);
+    }
+}
+
+void
+Datapath::refillBudgets(Cycles now)
+{
+    constexpr auto div = static_cast<std::size_t>(IssueClass::FpDiv);
+    for (LaneState &lane : lanes) {
+        lane.left = fullBudget;
+        lane.left[div] = lane.divBusyUntil > now ? 0 : 1;
     }
 }
 
@@ -166,33 +246,19 @@ Datapath::tick()
         return;
     lastTickAt = eventq.curTick();
     resetCycleCounters();
+    issueTick = clockEdge(0);
+    openBatches.clear();
 
     bool anyReadyLeft = false;
     for (unsigned l = 0; l < params.lanes; ++l) {
         LaneState &lane = lanes[l];
         if (lane.blocked()) {
-            if (!lane.ready.empty())
+            if (lane.hasReady())
                 ++statMemStallCycles;
             continue;
         }
-        // Dataflow issue with a bounded scheduling window: hazarded
-        // ops are skipped so younger independent ops may still go.
-        unsigned scanned = 0;
-        for (auto it = lane.ready.begin();
-             it != lane.ready.end() && scanned < issueScanWindow;) {
-            ++scanned;
-            IssueResult res = tryIssue(*it, l);
-            if (res == IssueResult::Issued) {
-                it = lane.ready.erase(it);
-                if (lane.blocked())
-                    break;
-            } else if (res == IssueResult::Skip) {
-                ++it;
-            } else {
-                break; // lane-stalling condition
-            }
-        }
-        if (!lane.ready.empty() && !lane.blocked())
+        scanLane(lane, l);
+        if (lane.hasReady() && !lane.blocked())
             anyReadyLeft = true;
     }
 
@@ -204,163 +270,192 @@ Datapath::tick()
         scheduleTick();
 }
 
-Datapath::IssueResult
-Datapath::tryIssue(NodeId n, unsigned lane)
+void
+Datapath::scanLane(LaneState &lane, unsigned l)
 {
-    const TraceOp &op = trace.ops[n];
-    if (!isMemoryOp(op.op))
-        return tryIssueCompute(n, lane, op);
-
-    if (params.perfectMemory) {
-        if (issued[lane].mem >= params.memOpsPerLane)
-            return IssueResult::Skip;
-        ++issued[lane].mem;
-        ++inFlightOps;
-        Tick now = clockEdge(0);
-        busy.add(now, now + clockPeriod());
-        traceNodeSpan(lane, "mem", now, now + clockPeriod());
-        scheduleCompletion(1, n);
-        return IssueResult::Issued;
+    // Dataflow issue with a bounded scheduling window: hazarded ops
+    // are skipped so younger independent ops may still go. The first
+    // issueScanWindow entries are examined in FIFO order; skipped ones
+    // are packed at the window's front as the scan goes, then slid up
+    // against the unexamined rest, so the issued ones fall into the
+    // consumed prefix and the queue keeps its order.
+    std::vector<NodeId> &q = lane.ready;
+    const std::size_t first = lane.head;
+    std::size_t keep = first;
+    std::size_t i = first;
+    while (i < q.size() && i - first < issueScanWindow) {
+        NodeId n = q[i++];
+        IssueResult res = tryIssue(n, lane, l);
+        if (res == IssueResult::Issued) {
+            if (lane.blocked())
+                break;
+            continue;
+        }
+        q[keep++] = n;
+        if (res == IssueResult::StopLane)
+            break; // lane-stalling condition
+    }
+    if (keep != i) {
+        std::move_backward(q.begin() + static_cast<std::ptrdiff_t>(first),
+                           q.begin() + static_cast<std::ptrdiff_t>(keep),
+                           q.begin() + static_cast<std::ptrdiff_t>(i));
+        lane.head = first + (i - keep);
     }
 
-    // In cache mode, arrays wired to the scratchpad (private
-    // intermediates and register-promoted small constant tables)
-    // bypass the cache.
-    bool isScratchArray =
-        mode == MemMode::ScratchpadDma ||
-        (static_cast<std::size_t>(op.arrayId) < spadIds.size() &&
-         spadIds[static_cast<std::size_t>(op.arrayId)] >= 0);
-    if (isScratchArray)
-        return tryIssueSpadAccess(n, lane, op);
-    return tryIssueCacheAccess(n, lane, op);
+    // Reclaim the consumed prefix once it is at least half the
+    // vector, so each entry is moved O(1) times amortized.
+    if (lane.head == q.size()) {
+        q.clear();
+        lane.head = 0;
+    } else if (lane.head >= issueScanWindow && 2 * lane.head >= q.size()) {
+        q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(lane.head));
+        lane.head = 0;
+    }
 }
 
 Datapath::IssueResult
-Datapath::tryIssueCompute(NodeId n, unsigned lane, const TraceOp &op)
+Datapath::tryIssue(NodeId n, LaneState &lane, unsigned l)
 {
-    IssueCounters &c = issued[lane];
-    FuKind kind = fuKindOf(op.op);
-    switch (kind) {
-      case FuKind::IntAlu:
-        if (c.intAlu >= params.intAluPerLane)
-            return IssueResult::Skip;
-        ++c.intAlu;
-        break;
-      case FuKind::IntMul:
-        if (c.intMul >= params.intMulPerLane)
-            return IssueResult::Skip;
-        ++c.intMul;
-        break;
-      case FuKind::FpAdd:
-        if (c.fpAdd >= params.fpAddPerLane)
-            return IssueResult::Skip;
-        ++c.fpAdd;
-        break;
-      case FuKind::FpMul:
-        if (c.fpMul >= params.fpMulPerLane)
-            return IssueResult::Skip;
-        ++c.fpMul;
-        break;
-      case FuKind::FpDiv:
+    const NodeInfo &info = nodes[n];
+    // DMA-triggered compute: a load must find its line's ready bit
+    // set before anything else, or the lane stalls until the DMA
+    // engine fills it (Section IV-B2: the control logic stalls the
+    // whole lane).
+    if (info.cls == IssueClass::ReadyBitLoad &&
+        !feBits->isFullChunk(info.feArray, info.chunk))
+        return stallOnReadyBit(info, l);
+
+    unsigned &left = lane.left[budgetSlot(info.cls)];
+    if (left == 0)
+        return IssueResult::Skip;
+
+    switch (info.cls) {
+      case IssueClass::SpadAccess:
+      case IssueClass::ReadyBitLoad:
+        return tryIssueSpadAccess(n, l, info);
+      case IssueClass::CacheAccess:
+        return tryIssueCacheAccess(n, l);
+      case IssueClass::PerfectMem:
+        --left;
+        beginExecution(l, "mem", 1);
+        scheduleCompletion(1, n);
+        return IssueResult::Issued;
+      case IssueClass::FpDiv:
         // The divider is unpipelined.
-        if (lanes[lane].divBusyUntil > curCycle())
-            return IssueResult::Skip;
-        lanes[lane].divBusyUntil =
-            curCycle() + latencyOf(Opcode::FpDiv);
+        lane.divBusyUntil = cycleStamp + info.latency;
         break;
-      case FuKind::Other:
-        if (c.other >= params.otherPerLane)
-            return IssueResult::Skip;
-        ++c.other;
+      default:
         break;
     }
-
-    ++fuOps[static_cast<std::size_t>(kind)];
-    ++inFlightOps;
-    Cycles lat = latencyOf(op.op);
-    Tick now = clockEdge(0);
-    busy.add(now, now + cyclesToTicks(lat));
-    traceNodeSpan(lane, "compute", now, now + cyclesToTicks(lat));
-    scheduleCompletion(lat, n);
+    --left;
+    ++fuOps[static_cast<std::size_t>(info.cls)];
+    beginExecution(l, "compute", info.latency);
+    scheduleCompletion(info.latency, n);
     return IssueResult::Issued;
+}
+
+Datapath::IssueResult
+Datapath::stallOnReadyBit(const NodeInfo &info, unsigned lane)
+{
+    ++statReadyBitStalls;
+    lanes[lane].blockedOnReadyBit = true;
+    feBits->waitChunk(info.feArray, info.chunk, [this, lane] {
+        lanes[lane].blockedOnReadyBit = false;
+        scheduleTick();
+    });
+    return IssueResult::StopLane;
+}
+
+void
+Datapath::beginExecution(unsigned lane, const char *what, Cycles lat)
+{
+    ++inFlightOps;
+    Tick end = issueTick + cyclesToTicks(lat);
+    busy.add(issueTick, end);
+    traceNodeSpan(lane, what, issueTick, end);
 }
 
 void
 Datapath::scheduleCompletion(Cycles lat, NodeId n)
 {
-    // Results are available *at* the clock edge `lat` cycles after
-    // issue: complete one tick before that edge so dependents can
-    // issue on the edge itself (otherwise every dependence level
-    // would silently cost an extra cycle).
-    Tick when = clockEdge(lat);
-    GENIE_ASSERT(when > 0, "completion before time begins");
-    eventq.scheduleFlowRaw(when - 1, [](void *c, std::uint64_t node) {
-        static_cast<Datapath *>(c)->onNodeComplete(
-            static_cast<NodeId>(node));
-    }, this, n, "accel.nodeComplete");
+    std::uint32_t b = 0;
+    auto open = std::find_if(openBatches.begin(), openBatches.end(),
+                             [lat](const auto &o) { return o.first == lat; });
+    if (open != openBatches.end()) {
+        b = open->second;
+    } else {
+        if (freeBatches.empty()) {
+            b = static_cast<std::uint32_t>(batches.size());
+            batches.emplace_back();
+        } else {
+            b = freeBatches.back();
+            freeBatches.pop_back();
+        }
+        openBatches.emplace_back(lat, b);
+        // Results are available *at* the clock edge `lat` cycles
+        // after issue: complete one tick before that edge so
+        // dependents can issue on the edge itself (otherwise every
+        // dependence level would silently cost an extra cycle).
+        // Scheduling as the batch opens gives it its first node's
+        // (when, seq) position.
+        Tick when = issueTick + cyclesToTicks(lat);
+        GENIE_ASSERT(when > 0, "completion before time begins");
+        eventq.scheduleFlowRaw(when - 1, [](void *c, std::uint64_t batch) {
+            static_cast<Datapath *>(c)->retireBatch(
+                static_cast<std::uint32_t>(batch));
+        }, this, b, "accel.nodeComplete");
+    }
+    batches[b].nodes.push_back(n);
+    if (eventq.tracer() != nullptr)
+        batches[b].origins.push_back(eventq.flowCursor());
+}
+
+void
+Datapath::retireBatch(std::uint32_t b)
+{
+    // Completions only enqueue and schedule, so no batch opens while
+    // this one retires and the reference stays valid.
+    CompletionBatch &batch = batches[b];
+    for (std::size_t i = 0; i < batch.nodes.size(); ++i) {
+        // Each node continues the causal flow its own issue span
+        // started, as if it had its own event.
+        if (!batch.origins.empty())
+            eventq.resumeFlow(batch.origins[i]);
+        onNodeComplete(batch.nodes[i]);
+    }
+    batch.nodes.clear();
+    batch.origins.clear();
+    freeBatches.push_back(b);
 }
 
 Datapath::IssueResult
-Datapath::tryIssueSpadAccess(NodeId n, unsigned lane, const TraceOp &op)
+Datapath::tryIssueSpadAccess(NodeId n, unsigned lane, const NodeInfo &info)
 {
-    auto arr = static_cast<std::size_t>(op.arrayId);
-
-    // DMA-triggered compute: a load must find its line's ready bit
-    // set, or the lane stalls until the DMA engine fills it
-    // (Section IV-B2: the control logic stalls the whole lane).
-    if (op.op == Opcode::Load && feBits && arr < feIds.size() &&
-        feIds[arr] >= 0) {
-        if (!feBits->isFull(feIds[arr], op.offset)) {
-            ++statReadyBitStalls;
-            lanes[lane].blockedOnReadyBit = true;
-            feBits->wait(feIds[arr], op.offset, [this, lane] {
-                lanes[lane].blockedOnReadyBit = false;
-                scheduleTick();
-            });
-            return IssueResult::StopLane;
-        }
-    }
-
-    if (issued[lane].mem >= params.memOpsPerLane)
-        return IssueResult::Skip;
-
-    GENIE_ASSERT(spad && arr < spadIds.size() && spadIds[arr] >= 0,
-                 "array '%s' not mapped to a scratchpad",
-                 trace.arrays[arr].name.c_str());
-    if (!spad->tryAccess(spadIds[arr], op.offset,
-                         op.op == Opcode::Store)) {
+    if (!spad->tryAccessBank(info.spadArray, info.bank, info.isWrite)) {
         ++statBankConflicts;
         return IssueResult::Skip;
     }
-
-    ++issued[lane].mem;
-    ++inFlightOps;
-    Tick now = clockEdge(0);
-    busy.add(now, now + clockPeriod());
-    traceNodeSpan(lane, "mem", now, now + clockPeriod());
+    --lanes[lane].left[memSlot];
+    beginExecution(lane, "mem", 1);
     scheduleCompletion(1, n);
     return IssueResult::Issued;
 }
 
 Datapath::IssueResult
-Datapath::tryIssueCacheAccess(NodeId n, unsigned lane, const TraceOp &op)
+Datapath::tryIssueCacheAccess(NodeId n, unsigned lane)
 {
-    if (issued[lane].mem >= params.memOpsPerLane)
-        return IssueResult::Skip;
     if (!cache->portAvailable())
         return IssueResult::Skip;
 
-    ++issued[lane].mem;
-    ++inFlightOps;
-    Tick now = clockEdge(0);
-    busy.add(now, now + clockPeriod());
-    traceNodeSpan(lane, "mem", now, now + clockPeriod());
+    --lanes[lane].left[memSlot];
+    beginExecution(lane, "mem", 1);
 
     // The lane blocks until the access is known to hit (decremented
     // synchronously below for TLB-hit + cache-hit) or until the miss
     // resolves (decremented in the cache callback).
     ++lanes[lane].pendingMem;
 
+    const TraceOp &op = trace.ops[n];
     Addr vaddr = arrayVBase[static_cast<std::size_t>(op.arrayId)] +
                  op.offset;
     tlb->translate(vaddr, [this, n, lane](Addr paddr) {
@@ -401,7 +496,7 @@ Datapath::onNodeComplete(NodeId n)
     ++completedNodes;
     ++statNodes;
 
-    std::uint32_t w = waveOf(n);
+    std::uint32_t w = nodes[n].wave;
     GENIE_ASSERT(waveRemaining[w] > 0, "wave count underflow");
     --waveRemaining[w];
 
@@ -424,9 +519,8 @@ Datapath::advanceWave()
     while (currentWave + 1 < numWaves &&
            waveRemaining[currentWave] == 0) {
         ++currentWave;
-        for (NodeId n : earlyReady[currentWave]) {
-            lanes[laneOf(n)].ready.push_back(n);
-        }
+        for (NodeId n : earlyReady[currentWave])
+            lanes[nodes[n].lane].ready.push_back(n);
         earlyReady[currentWave].clear();
         if (waveRemaining[currentWave] != 0)
             break;

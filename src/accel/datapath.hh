@@ -23,8 +23,9 @@
 #define GENIE_ACCEL_DATAPATH_HH
 
 #include <array>
-#include <deque>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "accel/dddg.hh"
@@ -108,10 +109,69 @@ class Datapath : public SimObject, public Clocked
 
     double memStallCycles() const { return statMemStallCycles.value(); }
 
+    /** Lane @p lane's ready nodes, in issue-scan (FIFO) order. The
+     * view is invalidated by the next event. */
+    std::span<const NodeId>
+    readyNodes(unsigned lane) const
+    {
+        const LaneState &l = lanes.at(lane);
+        return std::span<const NodeId>(l.ready).subspan(l.head);
+    }
+
   private:
+    /**
+     * What an issue attempt checks, decided once per node by start().
+     * The first six values are the compute classes, in FuKind order.
+     */
+    enum class IssueClass : std::uint8_t
+    {
+        IntAlu,
+        IntMul,
+        FpAdd,
+        FpMul,
+        FpDiv,
+        Other,
+        SpadAccess,   ///< scratchpad port, bank precomputed
+        ReadyBitLoad, ///< scratchpad load gated by a full/empty bit
+        CacheAccess,  ///< TLB + accelerator cache
+        PerfectMem,   ///< Figure-7 single-cycle memory
+    };
+
+    /**
+     * Per-lane, per-cycle issue budget, one slot per FuKind then one
+     * shared by every memory class. The FpDiv slot is the unpipelined
+     * divider: 1 while it is idle, else 0.
+     */
+    static constexpr std::size_t memSlot = 6;
+    using IssueBudget = std::array<unsigned, memSlot + 1>;
+
+    static constexpr std::size_t
+    budgetSlot(IssueClass c)
+    {
+        auto i = static_cast<std::size_t>(c);
+        return i < memSlot ? i : memSlot;
+    }
+
+    /** Everything the issue and completion paths need about a node,
+     * so they never reload its TraceOp. */
+    struct NodeInfo
+    {
+        IssueClass cls = IssueClass::Other;
+        std::uint8_t latency = 1; ///< cycles
+        bool isWrite = false;
+        std::int16_t spadArray = -1;
+        std::int16_t feArray = -1;
+        std::uint32_t lane = 0;
+        std::uint32_t wave = 0;
+        std::uint32_t bank = 0;  ///< scratchpad partition
+        std::uint32_t chunk = 0; ///< full/empty chunk
+    };
+
     struct LaneState
     {
-        std::deque<NodeId> ready;
+        /** Ready nodes in FIFO order; [0, head) is consumed. */
+        std::vector<NodeId> ready;
+        std::size_t head = 0;
         /** Unresolved cache work (TLB walks in progress + outstanding
          * misses). The lane stalls while this is non-zero; hits do
          * not contribute (hit-under-miss is across lanes). */
@@ -120,8 +180,22 @@ class Datapath : public SimObject, public Clocked
         bool blockedOnReadyBit = false;
         /** Divider is unpipelined: busy until this cycle. */
         Cycles divBusyUntil = 0;
+        /** Issue slots left this cycle. */
+        IssueBudget left{};
 
         bool blocked() const { return pendingMem > 0 || blockedOnReadyBit; }
+        bool hasReady() const { return head < ready.size(); }
+    };
+
+    /**
+     * Nodes one tick() issued with one latency. They retire together,
+     * in issue order, from a single accel.nodeComplete event.
+     */
+    struct CompletionBatch
+    {
+        std::vector<NodeId> nodes;
+        /** Each node's flow origin; filled only with a Tracer. */
+        std::vector<std::uint64_t> origins;
     };
 
     void tick();
@@ -139,18 +213,26 @@ class Datapath : public SimObject, public Clocked
      * (the dataflow scheduling window). */
     static constexpr unsigned issueScanWindow = 64;
 
-    IssueResult tryIssue(NodeId n, unsigned lane);
+    /** Fill the per-node issue records for this run's wiring. */
+    void buildNodeInfo();
 
-    /** Schedule node completion just before the edge @p lat cycles
-     * out, so dependents issue on that edge. */
-    void scheduleCompletion(Cycles lat, NodeId n);
+    /** One cycle of dataflow issue on lane @p l. */
+    void scanLane(LaneState &lane, unsigned l);
 
-    IssueResult tryIssueCompute(NodeId n, unsigned lane,
-                                const TraceOp &op);
+    IssueResult tryIssue(NodeId n, LaneState &lane, unsigned l);
     IssueResult tryIssueSpadAccess(NodeId n, unsigned lane,
-                                   const TraceOp &op);
-    IssueResult tryIssueCacheAccess(NodeId n, unsigned lane,
-                                    const TraceOp &op);
+                                   const NodeInfo &info);
+    IssueResult tryIssueCacheAccess(NodeId n, unsigned lane);
+    IssueResult stallOnReadyBit(const NodeInfo &info, unsigned lane);
+
+    /** Account an issued op: in flight, busy and traced for @p lat
+     * cycles from this edge. */
+    void beginExecution(unsigned lane, const char *what, Cycles lat);
+
+    /** Add @p n to this tick's completion batch for @p lat, opening
+     * (and scheduling) the batch if it is the first such node. */
+    void scheduleCompletion(Cycles lat, NodeId n);
+    void retireBatch(std::uint32_t b);
 
     /** Issue the translated cache access (retries on port/MSHR
      * rejection). */
@@ -161,17 +243,9 @@ class Datapath : public SimObject, public Clocked
     void advanceWave();
     void finishIfDrained();
 
-    unsigned laneOf(NodeId n) const
-    {
-        return trace.ops[n].iteration % params.lanes;
-    }
-    std::uint32_t waveOf(NodeId n) const
-    {
-        return trace.ops[n].iteration / params.lanes;
-    }
-
-    /** Per-cycle issue counter reset. */
+    /** Refill every lane's issue budget when the cycle changes. */
     void resetCycleCounters();
+    void refillBudgets(Cycles now);
 
     /** Mirror an issued node's execution interval into the trace
      * (tracks are per-lane so waves render as parallel strips). */
@@ -195,6 +269,7 @@ class Datapath : public SimObject, public Clocked
     // Execution state.
     bool active = false;
     DoneCallback onDone;
+    std::vector<NodeInfo> nodes;
     std::vector<std::uint32_t> pendingParents;
     std::vector<LaneState> lanes;
     std::uint32_t currentWave = 0;
@@ -214,18 +289,18 @@ class Datapath : public SimObject, public Clocked
      * edge). */
     Tick lastTickAt = maxTick;
 
-    // Per-cycle issue budgets.
+    // Per-cycle issue state.
     Cycles cycleStamp = 0;
-    struct IssueCounters
-    {
-        unsigned intAlu = 0;
-        unsigned intMul = 0;
-        unsigned fpAdd = 0;
-        unsigned fpMul = 0;
-        unsigned other = 0;
-        unsigned mem = 0;
-    };
-    std::vector<IssueCounters> issued;
+    /** Clock edge of the running tick(). */
+    Tick issueTick = 0;
+    /** Each lane's budget at the start of a cycle. */
+    IssueBudget fullBudget{};
+
+    // Completion batches: a pool recycled through freeBatches, and the
+    // (latency, batch) pairs the running tick() has opened.
+    std::vector<CompletionBatch> batches;
+    std::vector<std::uint32_t> freeBatches;
+    std::vector<std::pair<Cycles, std::uint32_t>> openBatches;
 
     IntervalSet busy;
     std::array<std::uint64_t, 6> fuOps{};

@@ -1,6 +1,7 @@
 #include "dddg.hh"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 
 #include "sim/logging.hh"
@@ -26,8 +27,16 @@ memKey(int arrayId, Addr byteAddr)
 Dddg::Dddg(const Trace &trace)
 {
     const std::size_t n = trace.ops.size();
-    childLists.resize(n);
     parentCount.assign(n, 0);
+
+    // Pass 1: collect every edge flat, grouped by consumer in program
+    // order. Node i's producers are the next parentCount[i] entries of
+    // `from`, so no per-edge consumer id is stored.
+    std::size_t estimate = 0;
+    for (const TraceOp &op : trace.ops)
+        estimate += op.deps.size() + (op.op == Opcode::Load ? 1 : 0);
+    std::vector<NodeId> from;
+    from.reserve(estimate);
 
     // Last store covering each (array, word) location. Word
     // granularity (4 bytes) bounds map size; accesses are word
@@ -35,11 +44,10 @@ Dddg::Dddg(const Trace &trace)
     std::unordered_map<std::uint64_t, NodeId> lastWriter;
     lastWriter.reserve(n / 4 + 16);
 
-    auto addEdge = [&](NodeId from, NodeId to) {
-        GENIE_ASSERT(from < to, "DDDG edge must go forward");
-        childLists[from].push_back(to);
-        ++parentCount[to];
-        ++edgeCount;
+    auto addEdge = [&](NodeId producer, NodeId consumer) {
+        GENIE_ASSERT(producer < consumer, "DDDG edge must go forward");
+        from.push_back(producer);
+        ++parentCount[consumer];
     };
 
     constexpr unsigned wordGran = 4;
@@ -68,22 +76,48 @@ Dddg::Dddg(const Trace &trace)
             }
         }
     }
+    GENIE_ASSERT(from.size() < std::numeric_limits<std::uint32_t>::max(),
+                 "DDDG too large");
 
-    // Deduplicate child lists (an op may depend on the same producer
-    // through several inputs, e.g. x*x). Duplicate counting must
-    // happen before std::unique, whose discarded tail holds
-    // unspecified values.
-    for (auto &list : childLists) {
-        std::sort(list.begin(), list.end());
-        for (std::size_t i = 1; i < list.size(); ++i) {
-            if (list[i] == list[i - 1]) {
-                --parentCount[list[i]];
-                --edgeCount;
-            }
-        }
-        list.erase(std::unique(list.begin(), list.end()),
-                   list.end());
+    // Pass 2: stable counting sort by producer. Consumers were
+    // visited in ascending order, so every producer's segment comes
+    // out sorted.
+    childOff.assign(n + 1, 0);
+    for (NodeId p : from)
+        ++childOff[p + 1];
+    for (std::size_t p = 1; p <= n; ++p)
+        childOff[p] += childOff[p - 1];
+    childIdx.resize(from.size());
+    std::size_t e = 0;
+    for (NodeId i = 0; i < n; ++i) {
+        for (std::uint32_t k = 0; k < parentCount[i]; ++k)
+            childIdx[childOff[from[e++]]++] = i;
     }
+    // Each childOff[p] now holds its segment's end; shift back to
+    // segment starts.
+    for (std::size_t p = n; p > 0; --p)
+        childOff[p] = childOff[p - 1];
+    childOff[0] = 0;
+    std::vector<NodeId>().swap(from);
+
+    // Pass 3: drop adjacent duplicates (an op may depend on the same
+    // producer through several inputs, e.g. x*x), compacting in place.
+    std::uint32_t out = 0;
+    std::uint32_t begin = 0;
+    for (std::size_t p = 0; p < n; ++p) {
+        std::uint32_t end = childOff[p + 1];
+        childOff[p] = out;
+        for (std::uint32_t k = begin; k < end; ++k) {
+            NodeId c = childIdx[k];
+            if (out > childOff[p] && childIdx[out - 1] == c)
+                --parentCount[c];
+            else
+                childIdx[out++] = c;
+        }
+        begin = end;
+    }
+    childOff[n] = out;
+    childIdx.resize(out);
 }
 
 std::uint64_t

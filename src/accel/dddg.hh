@@ -7,12 +7,17 @@
  * dependences inferred from trace addresses (a load depends on the
  * most recent earlier store that wrote any byte it reads), exactly the
  * dataflow representation Aladdin schedules (Section III-B).
+ *
+ * Children are stored flat in compressed-sparse-row form: node n's
+ * consumers are childIdx[childOff[n], childOff[n+1]), sorted and
+ * duplicate-free.
  */
 
 #ifndef GENIE_ACCEL_DDDG_HH
 #define GENIE_ACCEL_DDDG_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "accel/trace.hh"
@@ -26,12 +31,15 @@ class Dddg
     explicit Dddg(const Trace &trace);
 
     std::size_t numNodes() const { return parentCount.size(); }
-    std::size_t numEdges() const { return edgeCount; }
+    std::size_t numEdges() const { return childIdx.size(); }
 
-    /** Consumers of node @p n (register + memory dependents). */
-    const std::vector<NodeId> &children(NodeId n) const
+    /** Consumers of node @p n (register + memory dependents), in
+     * ascending node order without duplicates. */
+    std::span<const NodeId>
+    children(NodeId n) const
     {
-        return childLists[n];
+        return {childIdx.data() + childOff[n],
+                childOff[n + 1] - childOff[n]};
     }
 
     /** Number of producers node @p n waits for. */
@@ -48,9 +56,9 @@ class Dddg
     std::uint64_t criticalPathCycles(const Trace &trace) const;
 
   private:
-    std::vector<std::vector<NodeId>> childLists;
+    std::vector<std::uint32_t> childOff;
+    std::vector<NodeId> childIdx;
     std::vector<std::uint32_t> parentCount;
-    std::size_t edgeCount = 0;
     std::size_t memEdges = 0;
 };
 

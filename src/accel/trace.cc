@@ -1,5 +1,7 @@
 #include "trace.hh"
 
+#include <utility>
+
 #include "sim/logging.hh"
 
 namespace genie
@@ -55,7 +57,7 @@ TraceBuilder::load(int arrayId, Addr offset, unsigned size,
 
 NodeId
 TraceBuilder::load(int arrayId, Addr offset, unsigned size,
-                   const std::vector<NodeId> &deps)
+                   std::vector<NodeId> deps)
 {
     GENIE_ASSERT(arrayId >= 0 && static_cast<std::size_t>(arrayId) <
                      trace.arrays.size(),
@@ -71,7 +73,7 @@ TraceBuilder::load(int arrayId, Addr offset, unsigned size,
     op.arrayId = static_cast<std::int16_t>(arrayId);
     op.offset = offset;
     op.size = static_cast<std::uint8_t>(size);
-    op.deps = deps;
+    op.deps = std::move(deps);
     return emit(std::move(op));
 }
 
@@ -84,7 +86,7 @@ TraceBuilder::store(int arrayId, Addr offset, unsigned size,
 
 NodeId
 TraceBuilder::store(int arrayId, Addr offset, unsigned size,
-                    const std::vector<NodeId> &deps)
+                    std::vector<NodeId> deps)
 {
     GENIE_ASSERT(arrayId >= 0 && static_cast<std::size_t>(arrayId) <
                      trace.arrays.size(),
@@ -100,7 +102,7 @@ TraceBuilder::store(int arrayId, Addr offset, unsigned size,
     op.arrayId = static_cast<std::int16_t>(arrayId);
     op.offset = offset;
     op.size = static_cast<std::uint8_t>(size);
-    op.deps = deps;
+    op.deps = std::move(deps);
     return emit(std::move(op));
 }
 
@@ -111,13 +113,13 @@ TraceBuilder::op(Opcode opcode, std::initializer_list<NodeId> deps)
 }
 
 NodeId
-TraceBuilder::op(Opcode opcode, const std::vector<NodeId> &deps)
+TraceBuilder::op(Opcode opcode, std::vector<NodeId> deps)
 {
     GENIE_ASSERT(!isMemoryOp(opcode),
                  "use load()/store() for memory ops");
     TraceOp o;
     o.op = opcode;
-    o.deps = deps;
+    o.deps = std::move(deps);
     return emit(std::move(o));
 }
 

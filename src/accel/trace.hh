@@ -132,17 +132,17 @@ class TraceBuilder
     NodeId load(int arrayId, Addr offset, unsigned size,
                 std::initializer_list<NodeId> deps = {});
     NodeId load(int arrayId, Addr offset, unsigned size,
-                const std::vector<NodeId> &deps);
+                std::vector<NodeId> deps);
 
     /** Emit a store whose value is produced by @p deps. */
     NodeId store(int arrayId, Addr offset, unsigned size,
                  std::initializer_list<NodeId> deps = {});
     NodeId store(int arrayId, Addr offset, unsigned size,
-                 const std::vector<NodeId> &deps);
+                 std::vector<NodeId> deps);
 
     /** Emit a compute op depending on @p deps. */
     NodeId op(Opcode opcode, std::initializer_list<NodeId> deps = {});
-    NodeId op(Opcode opcode, const std::vector<NodeId> &deps);
+    NodeId op(Opcode opcode, std::vector<NodeId> deps);
 
     /** Convenience chain: fold @p values with @p opcode pairwise
      * (balanced reduction tree). */

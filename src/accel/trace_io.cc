@@ -1,7 +1,9 @@
 #include "trace_io.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -12,6 +14,48 @@ namespace
 {
 
 constexpr const char *magic = "genie-trace v1";
+
+/**
+ * Read the dependence list that ends a record. Each must name an
+ * earlier node: the trace builder treats anything else as a
+ * programming error and aborts.
+ */
+std::vector<NodeId>
+readDeps(std::istringstream &ss, std::size_t lineNo, std::size_t numOps)
+{
+    std::vector<NodeId> deps;
+    NodeId d;
+    while (ss >> d) {
+        if (d >= numOps)
+            fatal("trace line %zu: dependence on node %u, which is not "
+                  "earlier than this node (%zu)",
+                  lineNo, d, numOps);
+        deps.push_back(d);
+    }
+    if (!ss.eof())
+        fatal("trace line %zu: malformed dependence list", lineNo);
+    return deps;
+}
+
+/** Check a ld/st record against the arrays declared so far. */
+void
+checkAccess(const Trace &trace, std::size_t lineNo, int arrayId,
+            Addr offset, unsigned size)
+{
+    if (arrayId < 0 ||
+        static_cast<std::size_t>(arrayId) >= trace.arrays.size())
+        fatal("trace line %zu: unknown array id %d", lineNo, arrayId);
+    // TraceOp::size is one byte.
+    if (size == 0 || size > 255)
+        fatal("trace line %zu: access size %u outside [1, 255]", lineNo,
+              size);
+    const ArrayInfo &a = trace.arrays[static_cast<std::size_t>(arrayId)];
+    if (offset > a.sizeBytes || size > a.sizeBytes - offset)
+        fatal("trace line %zu: access [%llu, +%u) outside array '%s' "
+              "(%llu bytes)",
+              lineNo, (unsigned long long)offset, size, a.name.c_str(),
+              (unsigned long long)a.sizeBytes);
+}
 
 } // namespace
 
@@ -80,6 +124,10 @@ readTrace(std::istream &is)
             ss >> name >> size >> word >> in >> outFlag >> priv;
             if (ss.fail())
                 fatal("trace line %zu: malformed array", lineNo);
+            // TraceOp::arrayId is 16-bit.
+            if (tb.peek().arrays.size() >
+                std::size_t(std::numeric_limits<std::int16_t>::max()))
+                fatal("trace line %zu: too many arrays", lineNo);
             tb.addArray(name, size, word, in != 0, outFlag != 0,
                         priv != 0);
         } else if (kind == "iter") {
@@ -90,11 +138,11 @@ readTrace(std::istream &is)
                 fatal("trace line %zu: op before first iter", lineNo);
             std::string mnemonic;
             ss >> mnemonic;
-            std::vector<NodeId> deps;
-            NodeId d;
-            while (ss >> d)
-                deps.push_back(d);
-            tb.op(opcodeFromName(mnemonic), deps);
+            Opcode opcode = opcodeFromName(mnemonic);
+            if (isMemoryOp(opcode))
+                fatal("trace line %zu: '%s' needs an ld/st record",
+                      lineNo, mnemonic.c_str());
+            tb.op(opcode, readDeps(ss, lineNo, tb.peek().ops.size()));
         } else if (kind == "ld" || kind == "st") {
             if (!sawIter)
                 fatal("trace line %zu: access before first iter",
@@ -105,14 +153,13 @@ readTrace(std::istream &is)
             ss >> arrayId >> offset >> size;
             if (ss.fail())
                 fatal("trace line %zu: malformed access", lineNo);
-            std::vector<NodeId> deps;
-            NodeId d;
-            while (ss >> d)
-                deps.push_back(d);
+            checkAccess(tb.peek(), lineNo, arrayId, offset, size);
+            std::vector<NodeId> deps =
+                readDeps(ss, lineNo, tb.peek().ops.size());
             if (kind == "ld")
-                tb.load(arrayId, offset, size, deps);
+                tb.load(arrayId, offset, size, std::move(deps));
             else
-                tb.store(arrayId, offset, size, deps);
+                tb.store(arrayId, offset, size, std::move(deps));
         } else {
             fatal("trace line %zu: unknown record '%s'", lineNo,
                   kind.c_str());

@@ -37,8 +37,8 @@ FullEmptyBits::fill(int arrayId, Addr offset, std::uint64_t len)
                      static_cast<std::size_t>(arrayId) < arrays.size(),
                  "bad full/empty array id %d", arrayId);
     ArrayBits &a = arrays[static_cast<std::size_t>(arrayId)];
-    std::size_t first = chunkIndex(offset);
-    std::size_t last = chunkIndex(offset + len - 1);
+    std::size_t first = chunkOf(offset);
+    std::size_t last = chunkOf(offset + len - 1);
     for (std::size_t i = first; i <= last && i < a.full.size(); ++i) {
         if (a.full[i])
             continue;
@@ -54,30 +54,16 @@ FullEmptyBits::fill(int arrayId, Addr offset, std::uint64_t len)
     }
 }
 
-bool
-FullEmptyBits::isFull(int arrayId, Addr offset) const
-{
-    GENIE_ASSERT(arrayId >= 0 &&
-                     static_cast<std::size_t>(arrayId) < arrays.size(),
-                 "bad full/empty array id %d", arrayId);
-    const ArrayBits &a = arrays[static_cast<std::size_t>(arrayId)];
-    std::size_t i = chunkIndex(offset);
-    GENIE_ASSERT(i < a.full.size(),
-                 "full/empty query out of range (array %d)", arrayId);
-    return a.full[i];
-}
-
 void
-FullEmptyBits::wait(int arrayId, Addr offset, Waiter waiter)
+FullEmptyBits::waitChunk(int arrayId, std::size_t chunk, Waiter waiter)
 {
     GENIE_ASSERT(arrayId >= 0 &&
                      static_cast<std::size_t>(arrayId) < arrays.size(),
                  "bad full/empty array id %d", arrayId);
     ArrayBits &a = arrays[static_cast<std::size_t>(arrayId)];
-    std::size_t i = chunkIndex(offset);
-    GENIE_ASSERT(i < a.full.size(), "full/empty wait out of range");
+    GENIE_ASSERT(chunk < a.full.size(), "full/empty wait out of range");
     ++statStalls;
-    a.waiters[i].push_back(std::move(waiter));
+    a.waiters[chunk].push_back(std::move(waiter));
 }
 
 std::uint64_t

@@ -17,8 +17,10 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
 
@@ -44,11 +46,43 @@ class FullEmptyBits : public SimObject
     void fill(int arrayId, Addr offset, std::uint64_t len);
 
     /** True if the word at @p offset is ready. */
-    bool isFull(int arrayId, Addr offset) const;
+    bool
+    isFull(int arrayId, Addr offset) const
+    {
+        return isFullChunk(arrayId, chunkOf(offset));
+    }
 
     /** Register a waiter woken when @p offset becomes full. The waiter
      * must re-check; spurious wakeups are allowed. */
-    void wait(int arrayId, Addr offset, Waiter waiter);
+    void
+    wait(int arrayId, Addr offset, Waiter waiter)
+    {
+        waitChunk(arrayId, chunkOf(offset), std::move(waiter));
+    }
+
+    /** The ready-bit chunk covering @p offset. */
+    std::size_t
+    chunkOf(Addr offset) const
+    {
+        return static_cast<std::size_t>(offset / granularity);
+    }
+
+    /** isFull() with the chunk already resolved by chunkOf(): the
+     * datapath's per-cycle issue path. */
+    bool
+    isFullChunk(int arrayId, std::size_t chunk) const
+    {
+        GENIE_ASSERT(arrayId >= 0 &&
+                         static_cast<std::size_t>(arrayId) < arrays.size(),
+                     "bad full/empty array id %d", arrayId);
+        const ArrayBits &a = arrays[static_cast<std::size_t>(arrayId)];
+        GENIE_ASSERT(chunk < a.full.size(),
+                     "full/empty query out of range (array %d)", arrayId);
+        return a.full[chunk];
+    }
+
+    /** wait() with the chunk already resolved by chunkOf(). */
+    void waitChunk(int arrayId, std::size_t chunk, Waiter waiter);
 
     /** Estimated ready-bit SRAM bits (for the power model). */
     std::uint64_t storageBits() const;
@@ -62,11 +96,6 @@ class FullEmptyBits : public SimObject
         std::vector<bool> full;
         std::unordered_map<std::size_t, std::vector<Waiter>> waiters;
     };
-
-    std::size_t chunkIndex(Addr offset) const
-    {
-        return static_cast<std::size_t>(offset / granularity);
-    }
 
     unsigned granularity;
     std::vector<ArrayBits> arrays;

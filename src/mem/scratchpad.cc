@@ -30,36 +30,20 @@ Scratchpad::addArray(const ArrayConfig &cfg)
     return static_cast<int>(arrays.size() - 1);
 }
 
-bool
-Scratchpad::tryAccess(int arrayId, Addr offset, bool isWrite)
+std::size_t
+Scratchpad::bankOf(int arrayId, Addr offset) const
 {
-    GENIE_ASSERT(arrayId >= 0 &&
-                     static_cast<std::size_t>(arrayId) < arrays.size(),
-                 "bad scratchpad array id %d", arrayId);
-    ArrayState &st = arrays[static_cast<std::size_t>(arrayId)];
+    const ArrayConfig &cfg = arrayConfig(arrayId);
+    return static_cast<std::size_t>((offset / cfg.wordBytes) %
+                                    cfg.partitions);
+}
 
-    Cycles now = curCycle();
-    if (st.stamp != now) {
-        st.stamp = now;
-        std::fill(st.used.begin(), st.used.end(), 0);
-    }
-
-    std::size_t bank = (offset / st.cfg.wordBytes) % st.cfg.partitions;
-    if (st.used[bank] >= st.cfg.portsPerPartition) {
-        ++statConflicts;
-        if (Tracer *t = tracerFor(eventq, TraceCategory::Spad))
-            t->instant(TraceCategory::Spad, name(), "conflict");
-        return false;
-    }
-    ++st.used[bank];
-    if (isWrite) {
-        ++statWrites;
-        ++st.writes;
-    } else {
-        ++statReads;
-        ++st.reads;
-    }
-    return true;
+void
+Scratchpad::recordConflict()
+{
+    ++statConflicts;
+    if (Tracer *t = tracerFor(eventq, TraceCategory::Spad))
+        t->instant(TraceCategory::Spad, name(), "conflict");
 }
 
 std::uint64_t

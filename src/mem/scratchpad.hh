@@ -14,6 +14,7 @@
 #ifndef GENIE_MEM_SCRATCHPAD_HH
 #define GENIE_MEM_SCRATCHPAD_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -47,7 +48,46 @@ class Scratchpad : public SimObject, public Clocked
      * @return true if a partition port was granted (data available
      * next cycle); false on a bank conflict.
      */
-    bool tryAccess(int arrayId, Addr offset, bool isWrite);
+    bool
+    tryAccess(int arrayId, Addr offset, bool isWrite)
+    {
+        return tryAccessBank(arrayId, bankOf(arrayId, offset), isWrite);
+    }
+
+    /** The partition (bank) holding the word at @p offset. */
+    std::size_t bankOf(int arrayId, Addr offset) const;
+
+    /** tryAccess() with the bank already resolved by bankOf(): the
+     * datapath's per-cycle issue path. */
+    bool
+    tryAccessBank(int arrayId, std::size_t bank, bool isWrite)
+    {
+        ArrayState &st = state(arrayId);
+        // Most accesses repeat the last one's tick: skip the divide.
+        if (st.stampTick != eventq.curTick()) {
+            st.stampTick = eventq.curTick();
+            Cycles now = curCycle();
+            if (st.stamp != now) {
+                st.stamp = now;
+                std::fill(st.used.begin(), st.used.end(), 0);
+            }
+        }
+        GENIE_ASSERT(bank < st.used.size(), "bad scratchpad bank %zu",
+                     bank);
+        if (st.used[bank] >= st.cfg.portsPerPartition) {
+            recordConflict();
+            return false;
+        }
+        ++st.used[bank];
+        if (isWrite) {
+            ++statWrites;
+            ++st.writes;
+        } else {
+            ++statReads;
+            ++st.reads;
+        }
+        return true;
+    }
 
     const ArrayConfig &arrayConfig(int arrayId) const;
     std::size_t numArrays() const { return arrays.size(); }
@@ -73,9 +113,23 @@ class Scratchpad : public SimObject, public Clocked
         /** Per-partition usage counters, reset each cycle. */
         std::vector<unsigned> used;
         Cycles stamp = 0;
+        /** Tick of the last access; its cycle is `stamp`. */
+        Tick stampTick = 0;
         std::uint64_t reads = 0;
         std::uint64_t writes = 0;
     };
+
+    ArrayState &
+    state(int arrayId)
+    {
+        GENIE_ASSERT(arrayId >= 0 &&
+                         static_cast<std::size_t>(arrayId) < arrays.size(),
+                     "bad scratchpad array id %d", arrayId);
+        return arrays[static_cast<std::size_t>(arrayId)];
+    }
+
+    /** Count a bank conflict and mark it in the trace. */
+    void recordConflict();
 
     std::vector<ArrayState> arrays;
 

@@ -159,8 +159,7 @@ EventQueue::step()
         // origin as the cursor keeps causality threaded through
         // span-less intermediary events (e.g. a chain of cpu.step
         // events between a DMA completion and the next ioctl).
-        _pendingOrigin = flowFrom;
-        _flowCursor = flowFrom;
+        resumeFlow(flowFrom);
     }
     if (_profiler != nullptr) {
         _profiler->beginEvent(when, kind);

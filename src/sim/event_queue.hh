@@ -313,6 +313,19 @@ class EventQueue
     void consumeFlowOrigin() const { _pendingOrigin = 0; }
 
     /**
+     * Re-enter the flow context step() sets up for an event captured
+     * with origin @p spanId, for a handler that retires several
+     * coalesced events in one (the datapath's completion batches).
+     * Only meaningful with a Tracer attached.
+     */
+    void
+    resumeFlow(std::uint64_t spanId) const
+    {
+        _pendingOrigin = spanId;
+        _flowCursor = spanId;
+    }
+
+    /**
      * Invariant check: panics if any live (scheduled, uncancelled,
      * unfired) event remains. Call after run() on a flow that must
      * drain completely; a leftover event is a leaked handshake or a

@@ -39,6 +39,14 @@ class IntervalSet
     {
         if (begin >= end)
             return;
+        // Activities record intervals in time order, so most adds
+        // touch the last one: extend it in place (the union, and
+        // whether raw is normalized, are unchanged).
+        if (!raw.empty() && begin >= raw.back().begin &&
+            begin <= raw.back().end) {
+            raw.back().end = std::max(raw.back().end, end);
+            return;
+        }
         raw.push_back({begin, end});
         normalized = false;
     }

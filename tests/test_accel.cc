@@ -3,15 +3,21 @@
  * Accelerator-model unit tests: the trace-builder DSL, DDDG
  * construction (register + memory dependences, critical path), and
  * the datapath scheduler (dataflow, lanes, waves, FU limits,
- * scratchpad conflicts, ready-bit stalls, per-lane miss stalls).
+ * scratchpad conflicts, ready-bit stalls, per-lane miss stalls, the
+ * scan window and completion batches).
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <set>
 
 #include "accel/datapath.hh"
 #include "accel/dddg.hh"
 #include "accel/trace.hh"
 #include "sim/logging.hh"
+#include "workloads/workload.hh"
 
 namespace genie
 {
@@ -139,6 +145,107 @@ TEST(Dddg, LastWriterWins)
         fromS2 = fromS2 || c == l;
     EXPECT_FALSE(fromS1);
     EXPECT_TRUE(fromS2);
+}
+
+/**
+ * Naive per-node reference for the DDDG: each node's producer set
+ * (register deps plus the last writer of every word a load reads),
+ * and the memory-edge count with the builder's rule that a load adds
+ * one edge each time the last writer changes across its words.
+ */
+struct ReferenceDddg
+{
+    std::vector<std::set<NodeId>> producers;
+    std::size_t memEdges = 0;
+
+    explicit ReferenceDddg(const Trace &t) : producers(t.ops.size())
+    {
+        std::map<std::pair<int, Addr>, NodeId> lastWriter;
+        for (NodeId i = 0; i < t.ops.size(); ++i) {
+            const TraceOp &op = t.ops[i];
+            producers[i].insert(op.deps.begin(), op.deps.end());
+            NodeId prev = invalidNode;
+            for (Addr a = op.offset / 4 * 4; a < op.offset + op.size;
+                 a += 4) {
+                auto key = std::make_pair(int(op.arrayId), a);
+                if (op.op == Opcode::Store) {
+                    lastWriter[key] = i;
+                } else if (op.op == Opcode::Load) {
+                    auto it = lastWriter.find(key);
+                    if (it != lastWriter.end() && it->second != prev) {
+                        producers[i].insert(it->second);
+                        ++memEdges;
+                        prev = it->second;
+                    }
+                }
+            }
+        }
+    }
+};
+
+class DddgCsrTest : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(DddgCsrTest, MatchesNaiveReference)
+{
+    Trace t = makeWorkload(GetParam())->build().trace;
+    Dddg g(t);
+    ReferenceDddg ref(t);
+
+    std::vector<std::vector<NodeId>> refChildren(t.ops.size());
+    std::size_t refEdges = 0;
+    for (NodeId i = 0; i < t.ops.size(); ++i) {
+        for (NodeId p : ref.producers[i])
+            refChildren[p].push_back(i);
+        refEdges += ref.producers[i].size();
+    }
+
+    std::size_t parentSum = 0;
+    for (NodeId n = 0; n < g.numNodes(); ++n) {
+        auto kids = g.children(n);
+        ASSERT_TRUE(std::adjacent_find(kids.begin(), kids.end(),
+                                       std::greater_equal<NodeId>()) ==
+                    kids.end())
+            << "children of " << n << " not sorted and unique";
+        ASSERT_TRUE(std::equal(kids.begin(), kids.end(),
+                               refChildren[n].begin(),
+                               refChildren[n].end()))
+            << "children of " << n;
+        ASSERT_EQ(g.parents(n), ref.producers[n].size()) << "node " << n;
+        parentSum += g.parents(n);
+    }
+    EXPECT_EQ(parentSum, g.numEdges());
+    EXPECT_EQ(g.numEdges(), refEdges);
+    EXPECT_EQ(g.numMemoryEdges(), ref.memEdges);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Figure8, DddgCsrTest, ::testing::ValuesIn(figure8Workloads()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string n = info.param;
+        std::replace(n.begin(), n.end(), '-', '_');
+        return n;
+    });
+
+TEST(Dddg, DuplicateProducerIsOneEdge)
+{
+    TraceBuilder tb;
+    int a = tb.addArray("a", 64, 4, true, false);
+    tb.beginIteration();
+    NodeId x = tb.op(Opcode::Mov, {});
+    NodeId sq = tb.op(Opcode::FpMul, {x, x}); // x*x
+    NodeId s = tb.store(a, 0, 4, {sq});
+    NodeId l = tb.load(a, 0, 4, {s}); // register and memory edge
+    Trace t = tb.take();
+    Dddg g(t);
+    EXPECT_EQ(g.parents(sq), 1u);
+    EXPECT_EQ(g.parents(l), 1u);
+    EXPECT_EQ(g.numEdges(), 3u);
+    EXPECT_EQ(g.numMemoryEdges(), 1u);
+    ASSERT_EQ(g.children(x).size(), 1u);
+    EXPECT_EQ(g.children(x)[0], sq);
+    ASSERT_EQ(g.children(s).size(), 1u);
+    EXPECT_EQ(g.children(s)[0], l);
 }
 
 TEST(Dddg, CriticalPathOfChain)
@@ -392,6 +499,153 @@ TEST(Datapath, FuOpCountsMatchTrace)
     const auto &ops = f.dp.fuOpCounts();
     EXPECT_EQ(ops[static_cast<std::size_t>(FuKind::FpMul)], 2u);
     EXPECT_EQ(ops[static_cast<std::size_t>(FuKind::IntAlu)], 1u);
+}
+
+std::vector<NodeId>
+readyOf(const Datapath &dp, unsigned lane)
+{
+    auto r = dp.readyNodes(lane);
+    return {r.begin(), r.end()};
+}
+
+TEST(DatapathWindow, NodePastTheWindowDoesNotIssue)
+{
+    // Lane 0 takes the single bank port with one load; lane 1 then
+    // holds 64 conflicting loads ahead of a free IntAdd at position
+    // 65, which the 64-entry window never reaches that cycle.
+    TraceBuilder tb;
+    int a = tb.addArray("a", 4096, 4, true, false);
+    tb.beginIteration();
+    tb.load(a, 0, 4);
+    tb.beginIteration();
+    std::vector<NodeId> lane1;
+    for (unsigned k = 0; k < 64; ++k)
+        lane1.push_back(tb.load(a, 4 * k, 4));
+    lane1.push_back(tb.op(Opcode::IntAdd, {}));
+
+    DatapathFixture::partitions = 1;
+    Datapath::Params p;
+    p.lanes = 2;
+    DatapathFixture f(tb.take(), p);
+    DatapathFixture::partitions = 16;
+
+    f.dp.start([] {});
+    ASSERT_TRUE(f.eq.step()); // the first tick
+    EXPECT_TRUE(readyOf(f.dp, 0).empty());
+    EXPECT_EQ(readyOf(f.dp, 1), lane1);
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("bankConflicts"), 64.0);
+    f.eq.run();
+    EXPECT_FALSE(f.dp.running());
+}
+
+TEST(DatapathWindow, EmptyReadyBitStopsLaneInFifoOrder)
+{
+    TraceBuilder tb;
+    int a = tb.addArray("a", 4096, 4, true, false);
+    tb.beginIteration();
+    tb.op(Opcode::IntAdd, {});
+    NodeId ld = tb.load(a, 0, 4);
+    NodeId b = tb.op(Opcode::IntAdd, {});
+    NodeId c = tb.op(Opcode::Mov, {});
+
+    DatapathFixture::trackReadyBits = true;
+    DatapathFixture f(tb.take());
+    DatapathFixture::trackReadyBits = false;
+
+    bool done = false;
+    f.dp.start([&] { done = true; });
+    ASSERT_TRUE(f.eq.step()); // the first tick
+    EXPECT_EQ(readyOf(f.dp, 0), (std::vector<NodeId>{ld, b, c}));
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("readyBitStalls"), 1.0);
+
+    f.eq.run(); // the lane stays stalled
+    EXPECT_FALSE(done);
+    EXPECT_EQ(readyOf(f.dp, 0), (std::vector<NodeId>{ld, b, c}));
+
+    f.fe.fill(0, 0, 4096);
+    f.eq.run();
+    EXPECT_TRUE(done);
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("nodes"), 4.0);
+}
+
+TEST(DatapathWindow, ReadyListStaysFifoAcrossReclamation)
+{
+    // Independent ops, four FpMuls (one issues per cycle) to every
+    // IntAdd (two per cycle): the IntAdds overtake inside the window,
+    // so the list compacts every cycle and reclaims its prefix
+    // repeatedly over thousands of issues. A plain vector model of the
+    // window semantics must match it cycle by cycle.
+    constexpr unsigned numOps = 3000;
+    TraceBuilder tb;
+    tb.addArray("a", 64, 4, true, false);
+    tb.beginIteration();
+    std::vector<NodeId> model;
+    for (unsigned i = 0; i < numOps; ++i)
+        model.push_back(
+            tb.op(i % 5 == 4 ? Opcode::IntAdd : Opcode::FpMul, {}));
+    Trace t = tb.take();
+    std::vector<Opcode> opOf;
+    for (const TraceOp &op : t.ops)
+        opOf.push_back(op.op);
+
+    Datapath::Params p;
+    p.lanes = 1;
+    DatapathFixture f(std::move(t), p);
+    f.dp.start([] {});
+    unsigned cycles = 0;
+    while (!model.empty()) {
+        unsigned alu = p.intAluPerLane, mul = p.fpMulPerLane;
+        std::vector<NodeId> kept;
+        std::size_t window = std::min<std::size_t>(model.size(), 64);
+        for (std::size_t i = 0; i < window; ++i) {
+            unsigned &left = opOf[model[i]] == Opcode::IntAdd ? alu : mul;
+            if (left > 0)
+                --left;
+            else
+                kept.push_back(model[i]);
+        }
+        kept.insert(kept.end(), model.begin() + window, model.end());
+        model = std::move(kept);
+
+        f.eq.run(Tick(cycles) * accelPeriod);
+        ASSERT_EQ(readyOf(f.dp, 0), model) << "cycle " << cycles;
+        ++cycles;
+    }
+    EXPECT_GE(cycles, numOps * 4 / 5);
+    f.eq.run();
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("nodes"), double(numOps));
+}
+
+TEST(DatapathBatch, LatenciesMeetingOnOneEdgeRetireInIssueOrder)
+{
+    // n0 (FpAdd, 3 cycles) issues at cycle 0; n2 (IntMul, 2 cycles)
+    // issues at cycle 1 after n1. Both complete on edge 3, n0 first,
+    // so n0's consumer queues ahead of n2's despite its higher id.
+    // n1 and m share cycle 0's one-cycle batch and retire in the
+    // order they issued.
+    TraceBuilder tb;
+    tb.addArray("a", 64, 4, true, false);
+    tb.beginIteration();
+    NodeId n0 = tb.op(Opcode::FpAdd, {});
+    NodeId n1 = tb.op(Opcode::IntAdd, {});
+    NodeId m = tb.op(Opcode::Mov, {});
+    NodeId n2 = tb.op(Opcode::IntMul, {n1});
+    NodeId afterM = tb.op(Opcode::Mov, {m});
+    NodeId after2 = tb.op(Opcode::IntAdd, {n2});
+    NodeId after0 = tb.op(Opcode::IntAdd, {n0});
+    Datapath::Params p;
+    p.lanes = 1;
+    DatapathFixture f(tb.take(), p);
+    f.dp.start([] {});
+
+    f.eq.run(accelPeriod - 1); // n1 then m, before the edge-1 tick
+    EXPECT_EQ(readyOf(f.dp, 0), (std::vector<NodeId>{n2, afterM}));
+    f.eq.run(3 * accelPeriod - 2);
+    EXPECT_TRUE(readyOf(f.dp, 0).empty());
+    f.eq.run(3 * accelPeriod - 1); // both completions, before the tick
+    EXPECT_EQ(readyOf(f.dp, 0), (std::vector<NodeId>{after0, after2}));
+    f.eq.run();
+    EXPECT_EQ(f.dp.executedCycles(), 4u);
 }
 
 } // namespace

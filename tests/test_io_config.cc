@@ -100,6 +100,54 @@ TEST(TraceIo, RejectsUnknownOpcode)
     EXPECT_THROW(readTrace(is), FatalError);
 }
 
+/** readTrace() over one 64-byte array, one iteration, then @p body. */
+Trace
+readSmallTrace(const std::string &body)
+{
+    std::istringstream is("genie-trace v1\n"
+                          "array a 64 4 1 0 0\n"
+                          "iter\n" +
+                          body);
+    return readTrace(is);
+}
+
+TEST(TraceIo, RejectsUnknownArrayId)
+{
+    EXPECT_THROW(readSmallTrace("ld 1 0 4\n"), FatalError);
+    EXPECT_THROW(readSmallTrace("st -1 0 4\n"), FatalError);
+    // Array ids are 16-bit; a 32769th array would wrap negative.
+    std::string many = "genie-trace v1\n";
+    for (int i = 0; i <= 32768; ++i)
+        many += "array a 4 4 1 0 0\n";
+    std::istringstream is(many);
+    EXPECT_THROW(readTrace(is), FatalError);
+}
+
+TEST(TraceIo, RejectsAccessSizeOutsideOneByte)
+{
+    EXPECT_THROW(readSmallTrace("ld 0 0 0\n"), FatalError);
+    // TraceOp::size is a byte: 256 must not wrap to a 0-byte access.
+    EXPECT_THROW(readSmallTrace("ld 0 0 256\n"), FatalError);
+    EXPECT_EQ(readSmallTrace("ld 0 0 64\n").ops[0].size, 64u);
+}
+
+TEST(TraceIo, RejectsAccessPastArrayEnd)
+{
+    EXPECT_THROW(readSmallTrace("st 0 62 4\n"), FatalError);
+    EXPECT_THROW(readSmallTrace("ld 0 18446744073709551615 4\n"),
+                 FatalError);
+    EXPECT_EQ(readSmallTrace("ld 0 60 4\n").ops.size(), 1u);
+}
+
+TEST(TraceIo, RejectsDependenceOnCurrentOrFutureNode)
+{
+    EXPECT_THROW(readSmallTrace("op IntAdd 0\n"), FatalError);
+    EXPECT_THROW(readSmallTrace("ld 0 0 4\nst 0 4 4 2\n"), FatalError);
+    EXPECT_THROW(readSmallTrace("ld 0 0 4\nop IntAdd 0 x\n"), FatalError);
+    EXPECT_EQ(readSmallTrace("ld 0 0 4\nst 0 4 4 0\n").ops[1].deps,
+              std::vector<NodeId>{0});
+}
+
 TEST(TraceIo, SkipsCommentsAndBlankLines)
 {
     std::istringstream is("genie-trace v1\n"

@@ -11,14 +11,16 @@
  *   genie_bench --out=BENCH_genie.json  # full set
  *   genie_bench --queue=heap            # pin the queue strategy
  *   genie_bench --quick --baseline=bench/BENCH_baseline.json \
- *               --max-regress=20        # fail if MEPS drops >20%
+ *               --max-regress=20        # fail if wall time grows >20%
  *
  * The JSON (schema "genie-bench-1") records, per scenario: wall-clock
  * milliseconds, events executed, MEPS (millions of simulated events
  * retired per host second), and the headline simulation metrics
  * (latency, accelerator cycles, energy, EDP, bus utilization). The
- * totals block carries the aggregate MEPS that the CI regression gate
- * tracks against the checked-in baseline, and the queues block holds
+ * totals block carries the aggregate wall time that the CI regression
+ * gate tracks against the checked-in baseline. MEPS is reported but not
+ * gated: events differ widely in cost, and batching them changes the
+ * count without changing the work. The queues block holds
  * one MEPS entry per event-queue strategy (Genie-Turbo) — same
  * scenarios, same event counts, host time only differing — so the
  * strategy comparison ships in every bench artifact.
@@ -310,10 +312,10 @@ benchJson(const std::vector<BenchResult> &results,
     return j;
 }
 
-/** Extract the totals-block MEPS from a BENCH_genie.json file.
+/** Extract the totals-block wall_ms from a BENCH_genie.json file.
  * Returns a negative value when the file or field is missing. */
 double
-baselineTotalMeps(const std::string &path)
+totalWallMs(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
@@ -324,10 +326,11 @@ baselineTotalMeps(const std::string &path)
     std::size_t totals = text.find("\"totals\"");
     if (totals == std::string::npos)
         return -1.0;
-    std::size_t meps = text.find("\"meps\":", totals);
-    if (meps == std::string::npos)
+    const std::string key = "\"wall_ms\":";
+    std::size_t wall = text.find(key, totals);
+    if (wall == std::string::npos)
         return -1.0;
-    return std::strtod(text.c_str() + meps + 7, nullptr);
+    return std::strtod(text.c_str() + wall + key.size(), nullptr);
 }
 
 int
@@ -450,23 +453,23 @@ main(int argc, char **argv)
                 results.size());
 
     if (!baselinePath.empty()) {
-        double baseMeps = baselineTotalMeps(baselinePath);
-        if (baseMeps <= 0) {
+        double baseMs = totalWallMs(baselinePath);
+        if (baseMs <= 0) {
             std::fprintf(stderr,
-                         "error: no totals.meps in baseline %s\n",
+                         "error: no totals.wall_ms in baseline %s\n",
                          baselinePath.c_str());
             return 1;
         }
-        double curMeps = baselineTotalMeps(outPath);
-        double floor = baseMeps * (1.0 - maxRegressPct / 100.0);
-        std::printf("regression gate: %.3f MEPS vs baseline %.3f "
-                    "(floor %.3f)\n",
-                    curMeps, baseMeps, floor);
-        if (curMeps < floor) {
+        double curMs = totalWallMs(outPath);
+        double ceiling = baseMs * (1.0 + maxRegressPct / 100.0);
+        std::printf("regression gate: %.3f ms vs baseline %.3f ms "
+                    "(ceiling %.3f)\n",
+                    curMs, baseMs, ceiling);
+        if (curMs > ceiling) {
             std::fprintf(stderr,
-                         "error: MEPS regressed more than %.0f%% "
-                         "(%.3f < %.3f)\n",
-                         maxRegressPct, curMeps, floor);
+                         "error: wall time regressed more than %.0f%% "
+                         "(%.3f > %.3f ms)\n",
+                         maxRegressPct, curMs, ceiling);
             return 1;
         }
     }
