@@ -39,32 +39,31 @@ Scratchpad::bankOf(int arrayId, Addr offset) const
 }
 
 void
-Scratchpad::recordConflict()
+Scratchpad::recordConflicts(std::uint64_t k)
 {
-    ++statConflicts;
-    if (Tracer *t = tracerFor(eventq, TraceCategory::Spad))
-        t->instant(TraceCategory::Spad, name(), "conflict");
+    statConflicts += static_cast<double>(k);
+    if (Tracer *t = tracerFor(eventq, TraceCategory::Spad)) {
+        for (std::uint64_t i = 0; i < k; ++i)
+            t->instant(TraceCategory::Spad, name(), "conflict");
+    }
 }
 
 std::uint64_t
 Scratchpad::arrayReads(int arrayId) const
 {
-    return arrays[static_cast<std::size_t>(arrayId)].reads;
+    return state(arrayId).reads;
 }
 
 std::uint64_t
 Scratchpad::arrayWrites(int arrayId) const
 {
-    return arrays[static_cast<std::size_t>(arrayId)].writes;
+    return state(arrayId).writes;
 }
 
 const Scratchpad::ArrayConfig &
 Scratchpad::arrayConfig(int arrayId) const
 {
-    GENIE_ASSERT(arrayId >= 0 &&
-                     static_cast<std::size_t>(arrayId) < arrays.size(),
-                 "bad scratchpad array id %d", arrayId);
-    return arrays[static_cast<std::size_t>(arrayId)].cfg;
+    return state(arrayId).cfg;
 }
 
 std::uint64_t

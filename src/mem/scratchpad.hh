@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/clocked.hh"
@@ -43,23 +44,36 @@ class Scratchpad : public SimObject, public Clocked
     /** Register an array; @return its array id. */
     int addArray(const ArrayConfig &cfg);
 
+    /** Outcome of a port request to one bank. */
+    enum class Access : std::uint8_t
+    {
+        Conflict, ///< every port of the bank is taken this cycle
+        Granted,  ///< granted; the bank has ports left this cycle
+        LastPort, ///< granted the bank's last port this cycle
+    };
+
     /**
      * Try to perform an access in the current cycle.
      * @return true if a partition port was granted (data available
-     * next cycle); false on a bank conflict.
+     * next cycle); false on a bank conflict, which is counted.
      */
     bool
     tryAccess(int arrayId, Addr offset, bool isWrite)
     {
-        return tryAccessBank(arrayId, bankOf(arrayId, offset), isWrite);
+        if (tryAccessBank(arrayId, bankOf(arrayId, offset), isWrite) !=
+            Access::Conflict)
+            return true;
+        recordConflicts(1);
+        return false;
     }
 
     /** The partition (bank) holding the word at @p offset. */
     std::size_t bankOf(int arrayId, Addr offset) const;
 
     /** tryAccess() with the bank already resolved by bankOf(): the
-     * datapath's per-cycle issue path. */
-    bool
+     * datapath's per-cycle issue path. A conflict is not counted
+     * here; the caller reports it through recordConflicts(). */
+    Access
     tryAccessBank(int arrayId, std::size_t bank, bool isWrite)
     {
         ArrayState &st = state(arrayId);
@@ -74,10 +88,8 @@ class Scratchpad : public SimObject, public Clocked
         }
         GENIE_ASSERT(bank < st.used.size(), "bad scratchpad bank %zu",
                      bank);
-        if (st.used[bank] >= st.cfg.portsPerPartition) {
-            recordConflict();
-            return false;
-        }
+        if (st.used[bank] >= st.cfg.portsPerPartition)
+            return Access::Conflict;
         ++st.used[bank];
         if (isWrite) {
             ++statWrites;
@@ -86,8 +98,13 @@ class Scratchpad : public SimObject, public Clocked
             ++statReads;
             ++st.reads;
         }
-        return true;
+        return st.used[bank] == st.cfg.portsPerPartition ? Access::LastPort
+                                                         : Access::Granted;
     }
+
+    /** Count @p k bank conflicts in the current cycle, with one
+     * `conflict` trace instant each. */
+    void recordConflicts(std::uint64_t k);
 
     const ArrayConfig &arrayConfig(int arrayId) const;
     std::size_t numArrays() const { return arrays.size(); }
@@ -119,8 +136,8 @@ class Scratchpad : public SimObject, public Clocked
         std::uint64_t writes = 0;
     };
 
-    ArrayState &
-    state(int arrayId)
+    const ArrayState &
+    state(int arrayId) const
     {
         GENIE_ASSERT(arrayId >= 0 &&
                          static_cast<std::size_t>(arrayId) < arrays.size(),
@@ -128,8 +145,11 @@ class Scratchpad : public SimObject, public Clocked
         return arrays[static_cast<std::size_t>(arrayId)];
     }
 
-    /** Count a bank conflict and mark it in the trace. */
-    void recordConflict();
+    ArrayState &
+    state(int arrayId)
+    {
+        return const_cast<ArrayState &>(std::as_const(*this).state(arrayId));
+    }
 
     std::vector<ArrayState> arrays;
 
