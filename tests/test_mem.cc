@@ -619,6 +619,37 @@ TEST(Scratchpad, TracksPerArrayCounts)
     EXPECT_EQ(spad.totalBytes(), 128u);
 }
 
+TEST(Scratchpad, PerArrayCountsRejectABadArrayId)
+{
+    EventQueue eq;
+    Scratchpad spad("spad", eq, ClockDomain(busPeriod));
+    Scratchpad::ArrayConfig cfg;
+    cfg.name = "a";
+    cfg.sizeBytes = 64;
+    int a = spad.addArray(cfg);
+    EXPECT_DEATH(spad.arrayReads(a + 1), "bad scratchpad array id");
+    EXPECT_DEATH(spad.arrayWrites(-1), "bad scratchpad array id");
+}
+
+TEST(Scratchpad, BankAccessReportsTheLastPort)
+{
+    EventQueue eq;
+    Scratchpad spad("spad", eq, ClockDomain(busPeriod));
+    Scratchpad::ArrayConfig cfg;
+    cfg.name = "a";
+    cfg.sizeBytes = 64;
+    cfg.portsPerPartition = 2;
+    int a = spad.addArray(cfg);
+    using Access = Scratchpad::Access;
+    EXPECT_EQ(spad.tryAccessBank(a, 0, false), Access::Granted);
+    EXPECT_EQ(spad.tryAccessBank(a, 0, true), Access::LastPort);
+    EXPECT_EQ(spad.tryAccessBank(a, 0, false), Access::Conflict);
+    // The caller counts bank-path conflicts itself.
+    EXPECT_DOUBLE_EQ(spad.conflicts(), 0.0);
+    spad.recordConflicts(3);
+    EXPECT_DOUBLE_EQ(spad.conflicts(), 3.0);
+}
+
 // ---------------------------------------------------------------
 // Full/empty bits.
 // ---------------------------------------------------------------
