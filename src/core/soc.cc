@@ -55,8 +55,7 @@ class Soc::AccelDevice : public IoctlDevice
 };
 
 Soc::Soc(SocConfig config, const Trace &trace_, const Dddg &dddg_)
-    : cfg(std::move(config)), trace(trace_), dddg(dddg_),
-      eventq(cfg.queue)
+    : cfg(std::move(config)), trace(trace_), dddg(dddg_)
 {
     validateSocConfig(cfg);
 

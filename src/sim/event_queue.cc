@@ -1,5 +1,7 @@
 #include "event_queue.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
@@ -27,20 +29,6 @@ EventQueue::~EventQueue()
              liveEvents, (unsigned long long)nextTick());
     }
 #endif
-    for (Entry *e = pendingTop(); e != nullptr; e = pendingTop()) {
-        pendingPop();
-        freeEntry(e);
-    }
-    GENIE_ASSERT(arena.live() == 0,
-                 "EventQueue entry accounting leak: %zu entries "
-                 "unfreed at destruction",
-                 arena.live());
-}
-
-void
-EventQueue::freeEntry(const Entry *e) const
-{
-    arena.destroy(e->slot);
 }
 
 EventId
@@ -50,34 +38,21 @@ EventQueue::schedule(Tick when, std::function<void()> action,
     return scheduleImpl(when, std::move(action), kind, 0);
 }
 
-EventQueue::Entry *
-EventQueue::enqueueEntry(Tick when, const char *kind,
-                         std::uint64_t flowFrom, EventId &idOut)
-{
-    if (when < _curTick)
-        panic("scheduling event in the past (%llu < %llu)",
-              (unsigned long long)when, (unsigned long long)_curTick);
-    std::uint32_t slot;
-    Entry *e = arena.create(slot);
-    e->when = when;
-    e->seq = nextSeq++;
-    e->kind = kind;
-    e->flowFrom = flowFrom;
-    e->slot = slot;
-    pendingPush(e);
-    ++liveEvents;
-    idOut = makeId(slot, arena.generation(slot));
-    return e;
-}
-
 EventId
 EventQueue::scheduleImpl(Tick when, std::function<void()> action,
                          const char *kind, std::uint64_t flowFrom)
 {
-    EventId id;
-    Entry *e = enqueueEntry(when, kind, flowFrom, id);
-    e->action = std::move(action);
-    return id;
+    std::uint32_t slot;
+    if (!freeActions.empty()) {
+        slot = freeActions.back();
+        freeActions.pop_back();
+        actions[slot] = std::move(action);
+    } else {
+        slot = static_cast<std::uint32_t>(actions.size());
+        actions.push_back(std::move(action));
+    }
+    return scheduleRawImpl(when, &EventQueue::runAction, this, slot,
+                           kind, flowFrom);
 }
 
 EventId
@@ -85,12 +60,35 @@ EventQueue::scheduleRawImpl(Tick when, RawEvent fn, void *ctx,
                             std::uint64_t arg, const char *kind,
                             std::uint64_t flowFrom)
 {
-    EventId id;
-    Entry *e = enqueueEntry(when, kind, flowFrom, id);
-    e->fn = fn;
-    e->ctx = ctx;
-    e->arg = arg;
-    return id;
+    if (when < _curTick)
+        panic("scheduling event in the past (%llu < %llu)",
+              (unsigned long long)when, (unsigned long long)_curTick);
+    GENIE_ASSERT(fn != nullptr, "raw event scheduled with a null "
+                 "handler (null marks a cancelled event)");
+    const std::uint64_t seq = nextSeq++;
+    pending.push_back({when, seq, fn, ctx, arg, kind, flowFrom});
+    std::push_heap(pending.begin(), pending.end(), Later{});
+    ++liveEvents;
+    return seq + 1;
+}
+
+void
+EventQueue::runAction(void *ctx, std::uint64_t arg)
+{
+    // Move the payload out and free its slot before invoking it: the
+    // handler may schedule more std::function events, which can reuse
+    // the slot or grow (and so move) the table.
+    auto *q = static_cast<EventQueue *>(ctx);
+    std::function<void()> action = std::move(q->actions[arg]);
+    q->freeAction(arg);
+    action();
+}
+
+void
+EventQueue::freeAction(std::uint64_t slot)
+{
+    actions[slot] = nullptr;
+    freeActions.push_back(static_cast<std::uint32_t>(slot));
 }
 
 void
@@ -98,24 +96,29 @@ EventQueue::deschedule(EventId id)
 {
     if (id == invalidEventId)
         return;
-    // O(1) arena probe: a stale generation (already fired, already
-    // cancelled and reaped, or never valid) yields null.
-    Entry *e = arena.get(std::uint32_t(id >> 32) - 1,
-                         std::uint32_t(id));
-    if (e == nullptr || e->cancelled)
-        return; // already fired or cancelled
-    e->cancelled = true;
-    --liveEvents;
+    // A linear scan: the pending set holds a handful of events (a
+    // mean of 3-6 over the paper's sweeps), and a fired, cancelled or
+    // never-issued id matches no live entry, so it is a no-op.
+    const std::uint64_t seq = id - 1;
+    for (Event &e : pending) {
+        if (e.seq != seq)
+            continue;
+        if (e.fn == nullptr)
+            return;
+        if (e.fn == &EventQueue::runAction)
+            freeAction(e.arg);
+        e.fn = nullptr;
+        --liveEvents;
+        return;
+    }
 }
 
 void
 EventQueue::skipCancelled() const
 {
-    for (Entry *e = pendingTop();
-         e != nullptr && e->cancelled;
-         e = pendingTop()) {
-        pendingPop();
-        freeEntry(e);
+    while (!pending.empty() && pending.front().fn == nullptr) {
+        std::pop_heap(pending.begin(), pending.end(), Later{});
+        pending.pop_back();
     }
 }
 
@@ -123,56 +126,39 @@ Tick
 EventQueue::nextTick() const
 {
     skipCancelled();
-    Entry *e = pendingTop();
-    return e == nullptr ? maxTick : e->when;
+    return pending.empty() ? maxTick : pending.front().when;
 }
 
 bool
 EventQueue::step()
 {
     skipCancelled();
-    Entry *e = pendingTop();
-    if (e == nullptr)
+    if (pending.empty())
         return false;
-    pendingPop();
-    GENIE_ASSERT(e->when >= _curTick, "event order went backwards");
-    _curTick = e->when;
+    // Copy the event out and pop it before dispatch: the handler may
+    // schedule (and so reshape the heap), and a deschedule() of the
+    // firing id from inside it must find nothing.
+    const Event e = pending.front();
+    std::pop_heap(pending.begin(), pending.end(), Later{});
+    pending.pop_back();
+    GENIE_ASSERT(e.when >= _curTick, "event order went backwards");
+    _curTick = e.when;
     --liveEvents;
     ++executed;
-    // Pull the dispatch state out so the entry can be recycled before
-    // the handler runs: the handler may reschedule and reuse the slot.
-    // Recycling first also makes a deschedule() of the now-firing id
-    // from inside the handler a harmless stale-generation no-op.
-    const RawEvent fn = e->fn;
-    void *const ctx = e->ctx;
-    const std::uint64_t arg = e->arg;
-    const char *const kind = e->kind;
-    const Tick when = e->when;
-    const std::uint64_t flowFrom = e->flowFrom;
-    std::function<void()> action;
-    if (fn == nullptr)
-        action = std::move(e->action);
-    freeEntry(e);
     if (_tracer != nullptr) {
         // Hand the captured origin to the firing action: the first
         // span it records closes the flow edge, and inheriting the
         // origin as the cursor keeps causality threaded through
         // span-less intermediary events (e.g. a chain of cpu.step
         // events between a DMA completion and the next ioctl).
-        resumeFlow(flowFrom);
+        resumeFlow(e.flowFrom);
     }
     if (_profiler != nullptr) {
-        _profiler->beginEvent(when, kind);
-        if (fn != nullptr)
-            fn(ctx, arg);
-        else
-            action();
+        _profiler->beginEvent(e.when, e.kind);
+        e.fn(e.ctx, e.arg);
         _profiler->endEvent();
     } else {
-        if (fn != nullptr)
-            fn(ctx, arg);
-        else
-            action();
+        e.fn(e.ctx, e.arg);
     }
     return true;
 }

@@ -9,29 +9,20 @@
  *
  * THE ORDERING CONTRACT: events fire in the strict total order
  * (when ascending, then seq ascending), where seq is the schedule
- * order — equal-tick events fire FIFO. Every queue strategy
- * (sim/queue_strategy.hh) implements exactly this order, which is why
- * the strategy knob is purely a host-speed choice: stats, traces and
- * fingerprints are byte-identical across strategies
- * (tests/test_queue_diff.cc).
+ * order — equal-tick events fire FIFO. Stats, traces and fingerprints
+ * depend on exactly this order; tests/golden/event_order.txt pins the
+ * full output of the paper design points to it.
  *
- * Entry lifetime (Genie-Turbo): entries live in an ObjectArena
- * (sim/event_arena.hh) — bump-allocated blocks with freelist
- * recycling, no per-schedule new/delete. An Entry is destroyed at
- * exactly one of three points: when it fires (step()), when a
- * cancelled entry is lazily reaped at the pending-set head
- * (skipCancelled()), or in the destructor. EventIds encode
- * (slot, generation) into the arena so deschedule() is an O(1) array
- * probe, and allocatedEntries() exposes the arena's live count so
- * tests can prove the accounting closes under any deschedule()/run()
- * interleaving.
- *
- * Hot-path dispatch: beside the std::function path, schedule sites
- * can pass a raw function pointer + context word
- * (scheduleFlowRaw()/...). The kernel then skips std::function
- * construction, move and destruction entirely — the devirtualized
- * fast path the hottest kinds (accel.tick, accel.nodeComplete,
- * cpu.step, bus.deliver, dram.finish) use.
+ * The pending set is one std::vector binary min-heap that holds each
+ * event by value, keyed inline on (when, seq), so a sift never chases
+ * a pointer. Every event dispatches as fn(ctx, arg). Schedule sites
+ * on the hot kinds (accel.tick, accel.nodeComplete, cpu.step,
+ * bus.deliver, dram.finish) pass the function pointer and context
+ * word themselves (scheduleFlowRaw()/...). A std::function action is
+ * parked in a side table of payload slots and scheduled as a raw
+ * event whose arg is the slot index. A null fn marks a cancelled
+ * event: deschedule() scans the heap, clears fn and frees the
+ * payload, and cancelled events are dropped when they reach the top.
  */
 
 #ifndef GENIE_SIM_EVENT_QUEUE_HH
@@ -39,12 +30,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
-#include "sim/event_arena.hh"
-#include "sim/ladder_queue.hh"
-#include "sim/queue_strategy.hh"
 #include "sim/types.hh"
 
 namespace genie
@@ -56,10 +43,10 @@ class StatRegistry;
 class FaultInjector;
 
 /**
- * Opaque handle identifying a scheduled event (for cancellation).
- * Encodes the arena (slot, generation) pair; a handle for a fired or
- * cancelled event goes stale (its slot's generation moves on) and
- * deschedule() on it is a safe no-op.
+ * Opaque handle identifying a scheduled event (for cancellation): the
+ * event's schedule sequence number plus one. Sequence numbers are
+ * never reused, so deschedule() on the handle of a fired or cancelled
+ * event finds nothing and is a safe no-op.
  */
 using EventId = std::uint64_t;
 
@@ -88,9 +75,8 @@ class EventProfiler
 };
 
 /**
- * The discrete event queue: deterministic (when, seq) ordering, O(1)
- * cancellation, arena-pooled entries, and a pluggable pending-set
- * strategy (binary heap or self-tuning ladder queue).
+ * The discrete event queue: deterministic (when, seq) ordering over
+ * one binary heap of pending events held by value.
  */
 class EventQueue
 {
@@ -103,16 +89,10 @@ class EventQueue
      */
     using RawEvent = void (*)(void *ctx, std::uint64_t arg);
 
-    explicit EventQueue(QueueStrategy s = QueueStrategy::Ladder)
-        : strat(s)
-    {
-    }
+    EventQueue() = default;
     ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    /** The pending-set strategy this queue runs on. */
-    QueueStrategy strategy() const { return strat; }
 
     /** Current simulated time in ticks. */
     Tick curTick() const { return _curTick; }
@@ -171,7 +151,8 @@ class EventQueue
      * fn(ctx, arg) with no std::function anywhere on the path. Flow
      * semantics match scheduleFlow(). Same ordering, cancellation and
      * profiling behavior as the std::function path — a site may be
-     * converted freely without changing results.
+     * converted freely without changing results. @p fn must not be
+     * null.
      */
     EventId
     scheduleFlowRaw(Tick when, RawEvent fn, void *ctx,
@@ -223,11 +204,10 @@ class EventQueue
     std::uint64_t numExecuted() const { return executed; }
 
     /**
-     * Arena-owned Entry allocations currently alive (live events plus
-     * cancelled-but-unreaped ones). Debug/test hook for the entry
-     * arena; always >= size().
+     * Entries in the pending heap: live events plus cancelled ones not
+     * yet dropped from the top. Debug/test hook; always >= size().
      */
-    std::size_t allocatedEntries() const { return arena.live(); }
+    std::size_t allocatedEntries() const { return pending.size(); }
 
     /**
      * Attach the event recorder for this queue's system (see
@@ -335,24 +315,31 @@ class EventQueue
 
   private:
     /**
-     * One pending event. Layout is hot-path packed: the ordering key
-     * (when, seq) leads so strategy comparisons touch the first cache
-     * line; the 32-byte std::function tail is only visited on the
-     * non-raw dispatch path.
+     * One pending event, held by value in the heap. The ordering key
+     * (when, seq) leads; fn == nullptr marks a cancelled event.
      */
-    struct Entry
+    struct Event
     {
-        Tick when = 0;
-        std::uint64_t seq = 0;
-        RawEvent fn = nullptr; ///< non-null => raw fast dispatch
-        void *ctx = nullptr;
-        std::uint64_t arg = 0;
-        const char *kind = nullptr; ///< profiler attribution tag
+        Tick when;
+        std::uint64_t seq;
+        RawEvent fn;
+        void *ctx;
+        std::uint64_t arg;
+        const char *kind; ///< profiler attribution tag
         /** Causal origin span captured by scheduleFlow(); 0 = none. */
-        std::uint64_t flowFrom = 0;
-        std::uint32_t slot = 0; ///< arena slot owning this entry
-        bool cancelled = false;
-        std::function<void()> action; ///< empty on the raw path
+        std::uint64_t flowFrom;
+    };
+
+    /** Heap order: true if @p a fires after @p b. */
+    struct Later
+    {
+        bool
+        operator()(const Event &a, const Event &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            return a.seq > b.seq;
+        }
     };
 
     EventId scheduleImpl(Tick when, std::function<void()> action,
@@ -361,68 +348,16 @@ class EventQueue
                             std::uint64_t arg, const char *kind,
                             std::uint64_t flowFrom);
 
-    /** Allocate + enqueue a blank entry keyed (when, nextSeq) and
-     * mint its (slot, generation) EventId. */
-    Entry *enqueueEntry(Tick when, const char *kind,
-                        std::uint64_t flowFrom, EventId &idOut);
+    /** Dispatch of a std::function event: @p arg is its payload
+     * slot. */
+    static void runAction(void *ctx, std::uint64_t arg);
 
-    struct EntryCompare
-    {
-        bool
-        operator()(const Entry *a, const Entry *b) const
-        {
-            if (a->when != b->when)
-                return a->when > b->when;
-            return a->seq > b->seq;
-        }
-    };
+    /** Release payload slot @p slot, destroying its captures. */
+    void freeAction(std::uint64_t slot);
 
-    // EventId <-> arena (slot, generation) packing. slot+1 keeps every
-    // valid id distinct from invalidEventId.
-    static EventId makeId(std::uint32_t slot, std::uint32_t gen)
-    {
-        return (EventId(slot + 1) << 32) | EventId(gen);
-    }
-
-    // ---- Strategy seam: the pending set ----
-    // Exactly one of `heap` / `ladder` is in use, chosen at
-    // construction; both retire entries in identical (when, seq)
-    // order. Mutable alongside the arena: lazy reaping of cancelled
-    // entries happens from const queries (nextTick).
-
-    void
-    pendingPush(Entry *e) const
-    {
-        if (strat == QueueStrategy::Ladder)
-            ladder.push(e);
-        else
-            heap.push(e);
-    }
-
-    Entry *
-    pendingTop() const
-    {
-        if (strat == QueueStrategy::Ladder)
-            return ladder.top();
-        return heap.empty() ? nullptr : heap.top();
-    }
-
-    void
-    pendingPop() const
-    {
-        if (strat == QueueStrategy::Ladder)
-            ladder.pop();
-        else
-            heap.pop();
-    }
-
-    /** Pop cancelled entries off the head of the pending set. */
+    /** Drop cancelled events off the top of the heap. */
     void skipCancelled() const;
 
-    /** Destroy @p e's arena slot, keeping the live count honest. */
-    void freeEntry(const Entry *e) const;
-
-    QueueStrategy strat;
     Tick _curTick = 0;
     Tracer *_tracer = nullptr;
     StatRegistry *_statRegistry = nullptr;
@@ -436,13 +371,12 @@ class EventQueue
     mutable std::uint64_t _flowCursor = 0;
     mutable std::uint64_t _pendingOrigin = 0;
 
-    // Entry storage (see event_arena.hh): the pending structures hold
-    // arena-owned pointers; cancellation marks the entry and the head
-    // scan lazily destroys it.
-    mutable ObjectArena<Entry> arena;
-    mutable std::priority_queue<Entry *, std::vector<Entry *>,
-                                EntryCompare> heap;
-    mutable LadderQueue<Entry> ladder;
+    /** The pending set, a min-heap under Later. Mutable because
+     * nextTick() drops cancelled events off its top. */
+    mutable std::vector<Event> pending;
+    /** std::function payloads by slot, and the free slots. */
+    std::vector<std::function<void()>> actions;
+    std::vector<std::uint32_t> freeActions;
 };
 
 } // namespace genie

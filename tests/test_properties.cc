@@ -8,15 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <set>
 
 #include "core/fingerprint.hh"
 #include "core/soc.hh"
 #include "dse/sweep.hh"
-#include "sim/event_arena.hh"
-#include "sim/ladder_queue.hh"
 #include "sim/random.hh"
 #include "workloads/workload.hh"
 
@@ -360,23 +357,21 @@ TEST(ConfigIdentity, ObservabilityKnobsNeverChangeTheKey)
 }
 
 // ---------------------------------------------------------------------
-// Genie-Turbo queue/arena properties: the strategy seam's ordering
-// contract ((when, seq) strict total order) and the arena's lifetime
-// contract, fuzzed against naive reference models.
+// Event-queue properties: the ordering contract ((when, seq) strict
+// total order) and cancellation, fuzzed against a naive reference
+// model.
 // ---------------------------------------------------------------------
 
 /** Drives one EventQueue through a fuzzed schedule and records the
  * (label, tick) firing sequence. Every fifth external event
- * self-reschedules a child at the current tick (zero delta), the
- * same-tick case the ladder's front spill exists for. Labels
+ * self-reschedules a child at the current tick (zero delta), so
+ * same-tick pushes land behind the event that is firing. Labels
  * alternate between the std::function and raw-dispatch schedule
  * paths so both are held to the contract. */
 struct QueueFuzz
 {
     EventQueue eq;
     std::vector<std::pair<int, Tick>> fired;
-
-    explicit QueueFuzz(QueueStrategy s) : eq(s) {}
 
     static bool
     respawns(int label)
@@ -412,7 +407,7 @@ struct QueueFuzz
 };
 
 /** Naive sorted-vector reference: linear min-scan by (when, seq).
- * Obviously correct, so any divergence indicts the strategy. */
+ * Obviously correct, so any divergence indicts the queue. */
 struct RefModel
 {
     struct Ev
@@ -470,223 +465,45 @@ struct RefModel
 TEST(QueueProperties, FuzzedSchedulesMatchSortedReferenceModel)
 {
     // Randomized schedule/deschedule/step interleavings — dense
-    // same-tick ties (small deltas), far-future jumps (overflow /
-    // redistribute), zero-delta self-reschedules, and deschedules
-    // that sometimes hit the pending head — must fire in exactly the
-    // reference model's (when, seq) order under every strategy.
-    for (QueueStrategy strat :
-         {QueueStrategy::Heap, QueueStrategy::Ladder}) {
-        for (std::uint64_t seed : {1ull, 42ull, 0xfeedull}) {
-            Rng rng(seed);
-            QueueFuzz q(strat);
-            RefModel m;
-            std::vector<std::pair<EventId, std::uint64_t>> handles;
-            int nextLabel = 1;
-            for (int op = 0; op < 4000; ++op) {
-                std::uint64_t pick = rng.below(10);
-                if (pick < 5) {
-                    Tick delta = rng.below(3) ? rng.below(64)
-                                              : rng.below(100000);
-                    int label = nextLabel++;
-                    ASSERT_EQ(q.eq.curTick(), m.cur);
-                    handles.emplace_back(
-                        q.scheduleEvent(q.eq.curTick() + delta,
-                                        label),
-                        m.schedule(m.cur + delta, label));
-                } else if (pick < 7 && !handles.empty()) {
-                    // Includes already-fired and already-cancelled
-                    // handles: deschedule must be a safe no-op on
-                    // both sides (generation staling on the queue).
-                    std::size_t i = rng.below(handles.size());
-                    q.eq.deschedule(handles[i].first);
-                    m.deschedule(handles[i].second);
-                } else {
-                    ASSERT_EQ(q.eq.step(), m.step());
-                }
+    // same-tick ties (small deltas), far-future jumps, zero-delta
+    // self-reschedules, and deschedules that sometimes hit the
+    // pending head — must fire in exactly the reference model's
+    // (when, seq) order.
+    for (std::uint64_t seed : {1ull, 42ull, 0xfeedull}) {
+        Rng rng(seed);
+        QueueFuzz q;
+        RefModel m;
+        std::vector<std::pair<EventId, std::uint64_t>> handles;
+        int nextLabel = 1;
+        for (int op = 0; op < 4000; ++op) {
+            std::uint64_t pick = rng.below(10);
+            if (pick < 5) {
+                Tick delta = rng.below(3) ? rng.below(64)
+                                          : rng.below(100000);
+                int label = nextLabel++;
+                ASSERT_EQ(q.eq.curTick(), m.cur);
+                handles.emplace_back(
+                    q.scheduleEvent(q.eq.curTick() + delta, label),
+                    m.schedule(m.cur + delta, label));
+            } else if (pick < 7 && !handles.empty()) {
+                // Includes already-fired and already-cancelled
+                // handles: deschedule must be a safe no-op on both
+                // sides (ids are never reused).
+                std::size_t i = rng.below(handles.size());
+                q.eq.deschedule(handles[i].first);
+                m.deschedule(handles[i].second);
+            } else {
+                ASSERT_EQ(q.eq.step(), m.step());
             }
-            while (q.eq.step())
-                ASSERT_TRUE(m.step());
-            EXPECT_FALSE(m.step());
-            EXPECT_EQ(q.fired, m.fired)
-                << "strategy " << queueStrategyName(strat)
-                << " seed " << seed;
-            EXPECT_EQ(q.eq.size(), 0u);
-            // Lazy-cancelled entries must all have been reaped: the
-            // arena's leak accounting closes to zero.
-            EXPECT_EQ(q.eq.allocatedEntries(), 0u);
         }
+        while (q.eq.step())
+            ASSERT_TRUE(m.step());
+        EXPECT_FALSE(m.step());
+        EXPECT_EQ(q.fired, m.fired) << "seed " << seed;
+        EXPECT_EQ(q.eq.size(), 0u);
+        // Cancelled entries must all have been dropped from the heap.
+        EXPECT_EQ(q.eq.allocatedEntries(), 0u);
     }
-}
-
-struct LadderTestNode
-{
-    Tick when = 0;
-    std::uint64_t seq = 0;
-};
-
-bool
-ladderEarlier(const LadderTestNode *a, const LadderTestNode *b)
-{
-    if (a->when != b->when)
-        return a->when < b->when;
-    return a->seq < b->seq;
-}
-
-TEST(QueueProperties, LadderQueuePopsInWhenSeqOrderUnderStress)
-{
-    // The ladder directly (no EventQueue around it), against a
-    // min-scan reference, across a push mix hitting every internal
-    // path: same-tick ties, bucket-width-scale gaps, window-scale
-    // jumps into the overflow heap, and enough load to force
-    // rebuild()'s retuning.
-    Rng rng(7);
-    LadderQueue<LadderTestNode> lq;
-    std::deque<LadderTestNode> storage;
-    std::vector<LadderTestNode *> ref;
-    std::uint64_t nextSeq = 0;
-    Tick cur = 0;
-
-    // Dense burst first: >8x bucket count in-window forces rebuild.
-    for (int i = 0; i < 5000; ++i) {
-        storage.push_back({cur + rng.below(5000), nextSeq++});
-        lq.push(&storage.back());
-        ref.push_back(&storage.back());
-    }
-    EXPECT_GE(lq.numRetunes(), 1u);
-
-    for (int op = 0; op < 20000; ++op) {
-        if (!ref.empty() && rng.below(2)) {
-            auto it =
-                std::min_element(ref.begin(), ref.end(), ladderEarlier);
-            LadderTestNode *expect = *it;
-            ASSERT_EQ(lq.top(), expect) << "op " << op;
-            lq.pop();
-            cur = expect->when;
-            ref.erase(it);
-        } else {
-            Tick delta = 0;
-            switch (rng.below(4)) {
-              case 0:
-                delta = 0;
-                break;
-              case 1:
-                delta = rng.below(16);
-                break;
-              case 2:
-                delta = rng.below(5000);
-                break;
-              default:
-                delta = rng.below(Tick(1) << 22);
-                break;
-            }
-            storage.push_back({cur + delta, nextSeq++});
-            lq.push(&storage.back());
-            ref.push_back(&storage.back());
-        }
-        ASSERT_EQ(lq.size(), ref.size());
-    }
-    while (!ref.empty()) {
-        auto it =
-            std::min_element(ref.begin(), ref.end(), ladderEarlier);
-        ASSERT_EQ(lq.top(), *it);
-        lq.pop();
-        ref.erase(it);
-    }
-    EXPECT_TRUE(lq.empty());
-}
-
-TEST(QueueProperties, LadderQueueFrontSpillDrainsBeforeBuckets)
-{
-    // The one structural hazard the front spill guards: top() may
-    // anchor the window far in the future (redistribute around a
-    // lone overflow node), after which a push below the window's
-    // lower bound must still pop first.
-    LadderQueue<LadderTestNode> lq;
-    LadderTestNode distant{Tick(1) << 40, 0};
-    lq.push(&distant);
-    ASSERT_EQ(lq.top(), &distant);
-    LadderTestNode early{100, 1};
-    lq.push(&early);
-    EXPECT_EQ(lq.top(), &early);
-    lq.pop();
-    EXPECT_EQ(lq.top(), &distant);
-    lq.pop();
-    EXPECT_TRUE(lq.empty());
-}
-
-TEST(ArenaProperties, RecyclesSlotsAndStalesOldHandles)
-{
-    int alive = 0;
-    struct Probe
-    {
-        int *alive;
-        int value;
-        Probe(int *a, int v) : alive(a), value(v) { ++*alive; }
-        ~Probe() { --*alive; }
-    };
-    ObjectArena<Probe> arena;
-    std::uint32_t s0 = 0, s1 = 0;
-    Probe *a = arena.create(s0, &alive, 1);
-    arena.create(s1, &alive, 2);
-    EXPECT_EQ(alive, 2);
-    EXPECT_EQ(arena.live(), 2u);
-    std::uint32_t g0 = arena.generation(s0);
-    EXPECT_EQ(arena.get(s0, g0), a);
-
-    arena.destroy(s0);
-    EXPECT_EQ(alive, 1);
-    EXPECT_EQ(arena.get(s0, g0), nullptr) << "stale handle lived on";
-
-    std::uint32_t s2 = 0;
-    Probe *c = arena.create(s2, &alive, 3);
-    EXPECT_EQ(s2, s0) << "freelist must recycle the freed slot";
-    EXPECT_NE(arena.generation(s2), g0);
-    EXPECT_EQ(arena.get(s2, arena.generation(s2)), c);
-    EXPECT_EQ(arena.get(s0, g0), nullptr)
-        << "recycling must not revive the old generation's handle";
-
-    arena.destroy(s1);
-    arena.destroy(s2);
-    EXPECT_EQ(alive, 0);
-    EXPECT_EQ(arena.live(), 0u);
-    EXPECT_EQ(arena.capacity(), 2u)
-        << "recycling must not grow the high-water mark";
-}
-
-TEST(ArenaProperties, LeakAccountingClosesUnderFuzzedChurn)
-{
-    int alive = 0;
-    struct Probe
-    {
-        int *alive;
-        explicit Probe(int *a) : alive(a) { ++*alive; }
-        ~Probe() { --*alive; }
-    };
-    Rng rng(11);
-    ObjectArena<Probe> arena;
-    std::vector<std::uint32_t> liveSlots;
-    std::size_t peak = 0;
-    for (int op = 0; op < 20000; ++op) {
-        if (liveSlots.empty() || rng.below(5) < 3) {
-            std::uint32_t slot = 0;
-            arena.create(slot, &alive);
-            liveSlots.push_back(slot);
-        } else {
-            std::size_t i = rng.below(liveSlots.size());
-            arena.destroy(liveSlots[i]);
-            liveSlots[i] = liveSlots.back();
-            liveSlots.pop_back();
-        }
-        ASSERT_EQ(arena.live(), liveSlots.size());
-        ASSERT_EQ(static_cast<std::size_t>(alive), liveSlots.size());
-        peak = std::max(peak, liveSlots.size());
-    }
-    for (std::uint32_t slot : liveSlots)
-        arena.destroy(slot);
-    EXPECT_EQ(arena.live(), 0u);
-    EXPECT_EQ(alive, 0);
-    EXPECT_EQ(arena.capacity(), peak)
-        << "capacity must track the live high-water mark, not churn";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "sim/clocked.hh"
 #include "sim/event_queue.hh"
 #include "sim/interval_set.hh"
@@ -286,7 +289,7 @@ TEST(Types, PeriodFromMhz)
     EXPECT_EQ(periodFromMhz(1000), 1000u); // 1 ns
 }
 
-// --- genie-verify: EventQueue edge cases and entry lifetime ---------
+// --- genie-verify: EventQueue edge cases and payload lifetime -------
 
 TEST(EventQueueEdge, DescheduleOfAlreadyFiredIdIsNoOp)
 {
@@ -369,13 +372,13 @@ TEST(EventQueueEdge, EntryAccountingClosesUnderDescheduleRunInterleaving)
         for (std::size_t i = 0; i < ids.size(); i += 3)
             eq.deschedule(ids[i]);
         eq.run(static_cast<Tick>(round * 100 + 10));
-        // Lazy deletion may keep cancelled entries allocated, but
-        // never fewer entries than live events.
+        // Cancelled entries stay in the heap until they reach its
+        // top, but there are never fewer entries than live events.
         EXPECT_GE(eq.allocatedEntries(), eq.size());
     }
     eq.run();
     EXPECT_EQ(eq.size(), 0u);
-    // Once drained, every heap-owned Entry must have been freed.
+    // Once drained, every cancelled entry has left the heap.
     EXPECT_EQ(eq.allocatedEntries(), 0u);
     eq.checkDrained();
 }
@@ -383,8 +386,7 @@ TEST(EventQueueEdge, EntryAccountingClosesUnderDescheduleRunInterleaving)
 TEST(EventQueueEdge, DestructorFreesCancelledAndPendingEntries)
 {
     // Destroying a queue with a mix of live and cancelled events must
-    // free every Entry (the accounting assert in ~EventQueue plus
-    // ASan builds prove it).
+    // free every entry and payload (ASan builds prove it).
     EventQueue eq;
     std::vector<EventId> ids;
     for (int i = 0; i < 50; ++i)
@@ -394,6 +396,81 @@ TEST(EventQueueEdge, DestructorFreesCancelledAndPendingEntries)
     eq.run(10);
     EXPECT_GT(eq.allocatedEntries(), 0u);
     // dtor runs here
+}
+
+TEST(EventQueueEdge, DescheduledActionReleasesCapturesBeforeRun)
+{
+    EventQueue eq;
+    auto token = std::make_shared<int>(7);
+    int fired = 0;
+    EventId id = eq.schedule(5, [token, &fired] { ++fired; });
+    EXPECT_EQ(token.use_count(), 2);
+    eq.deschedule(id);
+    // The payload is freed at deschedule(), not when the cancelled
+    // entry later reaches the top of the heap.
+    EXPECT_EQ(token.use_count(), 1);
+    eq.run();
+    EXPECT_EQ(fired, 0);
+}
+
+TEST(EventQueueEdge, DestructionReleasesCapturesOfPendingEvents)
+{
+    auto token = std::make_shared<int>(7);
+    {
+        EventQueue eq;
+        eq.schedule(5, [token] {});
+        eq.schedule(6, [token] {});
+        eq.schedule(1, [] {});
+        eq.run(2);
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueueEdge, ActionThatGrowsThePayloadTableRunsInOrder)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    // Two references fit std::function's inline buffer, so this
+    // action's captures live inside the payload table. Scheduling
+    // 1000 more std::function events from inside it grows (and so
+    // reallocates) that table while it runs; the captures must
+    // still be valid afterwards.
+    eq.schedule(1, [&eq, &order] {
+        for (int i = 0; i < 1000; ++i)
+            eq.schedule(2, [&order, i] { order.push_back(i); });
+        order.push_back(-1);
+        eq.schedule(3, [&order] { order.push_back(1000); });
+    });
+    eq.run();
+    ASSERT_EQ(order.size(), 1002u);
+    EXPECT_EQ(order.front(), -1);
+    for (int i = 0; i <= 1000; ++i)
+        EXPECT_EQ(order[static_cast<std::size_t>(i) + 1], i);
+    EXPECT_EQ(eq.numExecuted(), 1002u);
+}
+
+TEST(EventQueueEdge, DescheduleOfNeverIssuedIdIsNoOp)
+{
+    EventQueue eq;
+    int fired = 0;
+    EventId a = eq.schedule(5, [&] { ++fired; });
+    EventId b = eq.schedule(6, [&] { ++fired; });
+    // Ids past the last one issued, including the very next one.
+    eq.deschedule(b + 1);
+    eq.deschedule(a + 1000);
+    EXPECT_EQ(eq.size(), 2u);
+    EventId c = eq.schedule(7, [&] { ++fired; });
+    EXPECT_EQ(c, b + 1);
+    eq.run();
+    EXPECT_EQ(fired, 3);
+}
+
+TEST(EventQueueEdgeDeath, RawScheduleWithNullHandlerPanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EventQueue eq;
+    EXPECT_DEATH(eq.scheduleRaw(5, nullptr, nullptr, 0), "null handler");
 }
 
 TEST(EventQueueEdgeDeath, CheckDrainedPanicsOnLiveEvents)

@@ -197,35 +197,31 @@ const TokenRule sweepDeterminismTokens[] = {
      "journal"},
 };
 
-// event-alloc: after Genie-Turbo the event kernel allocates event
-// storage only through ObjectArena (src/sim/event_arena.hh) — the
-// arena header is the one sanctioned manual-allocation site in
-// src/sim (raw new/delete there rides its raw-new-delete
-// suppression). Everything else in src/sim must not reach for the
-// allocator by hand: per-event heap traffic is exactly what the
-// arena was built to delete, and libc allocation would dodge the
-// arena's generation/leak accounting entirely.
+// event-alloc: the event kernel never reaches for the allocator by
+// hand. Pending events live by value in the EventQueue's std::vector
+// heap and std::function payloads in its payload table, so no file
+// in src/sim has a reason to allocate or free event storage itself.
 const TokenRule eventAllocTokens[] = {
-    {"malloc(", "manual allocation in the event kernel: event "
-                "storage lives in ObjectArena (sim/event_arena.hh)"},
-    {"calloc(", "manual allocation in the event kernel: event "
-                "storage lives in ObjectArena (sim/event_arena.hh)"},
-    {"realloc(", "manual allocation in the event kernel: event "
-                 "storage lives in ObjectArena (sim/event_arena.hh)"},
-    {"free(", "manual free in the event kernel: event storage lives "
-              "in ObjectArena (sim/event_arena.hh)"},
-    {"aligned_alloc(", "manual allocation in the event kernel: event "
-                       "storage lives in ObjectArena "
-                       "(sim/event_arena.hh)"},
+    {"malloc(", "manual allocation in the event kernel: pending "
+                "events live by value in the EventQueue heap"},
+    {"calloc(", "manual allocation in the event kernel: pending "
+                "events live by value in the EventQueue heap"},
+    {"realloc(", "manual allocation in the event kernel: pending "
+                 "events live by value in the EventQueue heap"},
+    {"free(", "manual free in the event kernel: pending events live "
+              "by value in the EventQueue heap"},
+    {"aligned_alloc(", "manual allocation in the event kernel: "
+                       "pending events live by value in the "
+                       "EventQueue heap"},
     {"posix_memalign(", "manual allocation in the event kernel: "
-                        "event storage lives in ObjectArena "
-                        "(sim/event_arena.hh)"},
-    {"operator new", "custom operator new in the event kernel: event "
-                     "storage lives in ObjectArena "
-                     "(sim/event_arena.hh)"},
+                        "pending events live by value in the "
+                        "EventQueue heap"},
+    {"operator new", "custom operator new in the event kernel: "
+                     "pending events live by value in the "
+                     "EventQueue heap"},
     {"operator delete", "custom operator delete in the event kernel: "
-                        "event storage lives in ObjectArena "
-                        "(sim/event_arena.hh)"},
+                        "pending events live by value in the "
+                        "EventQueue heap"},
 };
 
 const TokenRule rawOutputTokens[] = {
@@ -455,10 +451,8 @@ lintSource(const std::string &relPath, const std::string &contents)
             }
         }
 
-        // event-alloc: the event kernel allocates only through the
-        // arena API; the arena header itself is the sanctioned home.
-        if (startsWith(relPath, "src/sim/") &&
-            relPath != "src/sim/event_arena.hh") {
+        // event-alloc: no file of the event kernel allocates by hand.
+        if (startsWith(relPath, "src/sim/")) {
             for (const auto &t : eventAllocTokens) {
                 if (findToken(line, t.token) != std::string::npos)
                     report("event-alloc", lineNo, t.message);
