@@ -9,12 +9,11 @@
  * contention) are applied — the paper's central experiment, on any
  * workload you pick.
  *
- *   codesign_explorer [workload] [--threads=N] [--resume=FILE]
+ *   codesign_explorer [workload] [--threads=N]
  *
- * Both sweeps share one ResultCache, and --resume=FILE adds a
- * checkpoint journal: an interrupted exploration re-run with the same
- * command line loads every already-simulated point from FILE and
- * continues where it stopped (see dse/sweep_engine.hh).
+ * Both sweeps share one ResultCache, so the points they have in
+ * common are simulated once. For a sweep that survives the process,
+ * use genie_sweep --store=DIR (see dse/result_store.hh).
  */
 
 #include <cstdio>
@@ -37,13 +36,10 @@ main(int argc, char **argv)
         if (std::strncmp(argv[i], "--threads=", 10) == 0) {
             options.threads = static_cast<unsigned>(
                 std::strtoul(argv[i] + 10, nullptr, 10));
-        } else if (std::strncmp(argv[i], "--resume=", 9) == 0) {
-            options.resumePath = argv[i] + 9;
-            options.journalPath = options.resumePath;
         } else if (argv[i][0] == '-') {
             std::fprintf(stderr,
                          "usage: codesign_explorer [workload] "
-                         "[--threads=N] [--resume=FILE]\n");
+                         "[--threads=N]\n");
             return 2;
         } else {
             name = argv[i];
@@ -57,9 +53,7 @@ main(int argc, char **argv)
 
     // Sweep the isolated space (compute phase only) and the
     // co-designed DMA space (full system, all DMA optimizations).
-    // One cache and one journal serve both sweeps: identical points
-    // dedupe, and a resumed exploration skips everything already
-    // journaled.
+    // One cache serves both sweeps: identical points dedupe.
     ResultCache cache;
     options.cache = &cache;
     SocConfig base;

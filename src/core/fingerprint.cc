@@ -9,12 +9,12 @@ std::string
 configCanonicalKey(const SocConfig &c)
 {
     // Every field here changes simulated results; order is frozen —
-    // the journal schema (genie-sweep-1) and warm caches depend on
+    // the result store, the sweep goldens and warm caches depend on
     // keys being stable across releases. New result-affecting knobs
     // are appended only when non-default (the fault-campaign
     // precedent): a default-valued knob simulates identically to a
     // build that predates it, so the old key may keep hitting, while
-    // any non-default value produces a key old journals never wrote.
+    // any non-default value produces a key old stores never wrote.
     // Host-side knobs (tracing/metrics sinks) are
     // deliberately absent: they cannot change simulated results, so
     // runs differing only in them must share one key.
@@ -82,16 +82,84 @@ configCanonicalKey(const SocConfig &c)
     return s;
 }
 
+namespace
+{
+
+/** FNV-1a 64, fed bytes or fixed-width little-endian fields. */
+class Fnv1a
+{
+  public:
+    void
+    bytes(const std::string &s)
+    {
+        for (unsigned char ch : s) {
+            h ^= ch;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    put(std::uint64_t value, unsigned width)
+    {
+        for (unsigned i = 0; i < width; ++i) {
+            h ^= (value >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    std::uint64_t h = 0xcbf29ce484222325ull;
+};
+
+} // namespace
+
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    Fnv1a f;
+    f.bytes(bytes);
+    return f.h;
+}
+
 std::uint64_t
 configFingerprint(const SocConfig &config)
 {
-    const std::string key = configCanonicalKey(config);
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char ch : key) {
-        h ^= ch;
-        h *= 0x100000001b3ull;
+    return fnv1a64(configCanonicalKey(config));
+}
+
+std::uint64_t
+traceDigest(const Trace &trace)
+{
+    Fnv1a f;
+    f.put(trace.arrays.size(), 8);
+    for (const ArrayInfo &a : trace.arrays) {
+        f.put(a.name.size(), 8);
+        f.bytes(a.name);
+        f.put(a.sizeBytes, 8);
+        f.put(a.wordBytes, 4);
+        f.put(a.isInput ? 1 : 0, 1);
+        f.put(a.isOutput ? 1 : 0, 1);
+        f.put(a.privateScratch ? 1 : 0, 1);
     }
-    return h;
+    f.put(trace.numIterations, 4);
+    f.put(trace.ops.size(), 8);
+    for (const TraceOp &op : trace.ops) {
+        f.put(static_cast<std::uint8_t>(op.op), 1);
+        f.put(static_cast<std::uint16_t>(op.arrayId), 2);
+        f.put(op.size, 1);
+        f.put(op.iteration, 4);
+        f.put(op.offset, 8);
+        f.put(op.deps.size(), 4);
+        for (NodeId dep : op.deps)
+            f.put(dep, 4);
+    }
+    return f.h;
+}
+
+std::string
+resultKey(std::uint64_t traceDigest, const SocConfig &config)
+{
+    return "trace=" + fingerprintHex(traceDigest) + " " +
+           configCanonicalKey(config);
 }
 
 std::string

@@ -1,6 +1,6 @@
 /**
  * @file
- * Canonical design-point identity for caching and checkpointing.
+ * Design-point identity for the result tiers.
  *
  * Two SocConfigs that simulate identically must produce the same
  * canonical key, and two that differ in any result-affecting knob
@@ -9,11 +9,14 @@
  * byte-identical to a plain run by contract, so it would be wrong for
  * a stats-export path to defeat the sweep result cache.
  *
- * configFingerprint() hashes the canonical key (FNV-1a, 64 bit) for
- * compact journal records and fast map lookups; the ResultCache keys
- * on the full canonical string, so a hash collision can never cause a
- * false cache hit — the fingerprint is an index, the key is the
- * identity. test_properties.cc nevertheless proves the fingerprint
+ * A config alone does not name a result: the same config on another
+ * kernel simulates another trace. resultKey() therefore prefixes the
+ * canonical key with traceDigest(), and that full string is the
+ * identity every result tier (ResultCache, ResultStore, and through
+ * it genie_serve) keys on. Hashes of it (fnv1a64) only ever index or
+ * name things; a collision degrades to a miss, never a false hit.
+ * configFingerprint() is the FNV-1a hash of the canonical key alone,
+ * printed in the results export; test_properties.cc proves it
  * injective over every enumerated Figure 3 space.
  */
 
@@ -23,6 +26,7 @@
 #include <cstdint>
 #include <string>
 
+#include "accel/trace.hh"
 #include "core/soc_config.hh"
 
 namespace genie
@@ -33,8 +37,27 @@ namespace genie
  * the fault campaign; never tracing or metrics paths. */
 std::string configCanonicalKey(const SocConfig &config);
 
+/** FNV-1a 64-bit hash of @p bytes. */
+std::uint64_t fnv1a64(const std::string &bytes);
+
 /** FNV-1a 64-bit hash of configCanonicalKey(). */
 std::uint64_t configFingerprint(const SocConfig &config);
+
+/**
+ * FNV-1a 64-bit digest of everything in @p trace that can change a
+ * simulated result: every array (name, size, word size, input/output/
+ * private flags), every op (opcode, array, access size, iteration,
+ * offset, register deps) and the iteration count. Each field is
+ * hashed at a fixed width, never as raw struct bytes, so the digest
+ * is stable across compilers and padding. Changing the format
+ * changes every result key and cold-starts every store.
+ */
+std::uint64_t traceDigest(const Trace &trace);
+
+/** The result-tier identity: `trace=<16 hex> ` followed by
+ * configCanonicalKey(@p config). */
+std::string resultKey(std::uint64_t traceDigest,
+                      const SocConfig &config);
 
 /** Fixed-width lower-case hex rendering of a fingerprint. */
 std::string fingerprintHex(std::uint64_t fingerprint);

@@ -1,8 +1,6 @@
 #include "journal.hh"
 
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "core/fingerprint.hh"
 #include "metrics/export.hh"
@@ -69,8 +67,8 @@ parseStringField(const std::string &line, const char *name,
     if (pos == std::string::npos)
         return false;
     std::size_t begin = pos + needle.size();
-    // Canonical keys and fingerprints are plain `key=value` ASCII —
-    // no quotes or escapes — so the closing quote is unambiguous.
+    // Result keys are plain `key=value` ASCII — no quotes or
+    // escapes — so the closing quote is unambiguous.
     std::size_t end = line.find('"', begin);
     if (end == std::string::npos)
         return false;
@@ -79,12 +77,6 @@ parseStringField(const std::string &line, const char *name,
 }
 
 } // namespace
-
-std::string
-journalHeaderLine()
-{
-    return "{\"schema\": \"genie-sweep-1\"}\n";
-}
 
 std::string
 resultsJson(const SocResults &r)
@@ -120,34 +112,27 @@ resultsJson(const SocResults &r)
 }
 
 std::string
-journalRecordLine(const std::string &key, std::uint64_t fingerprint,
-                  const SocResults &results)
+resultRecordLine(const std::string &key, const SocResults &results)
 {
-    return format("{\"fp\": \"%s\", \"key\": \"%s\", \"results\": ",
-                  fingerprintHex(fingerprint).c_str(), key.c_str()) +
-           resultsJson(results) + "}\n";
+    return format("{\"key\": \"%s\", \"results\": ", key.c_str()) +
+           resultsJson(results) + "}";
 }
 
 bool
-parseJournalLine(const std::string &line, JournalRecord &out)
+parseResultRecordLine(const std::string &line, std::string &key,
+                      SocResults &results)
 {
-    if (line.find("\"schema\"") != std::string::npos)
-        return false;
     // A record always closes with the results object's "}}"; a torn
-    // line (killed mid-write) cannot, and is skipped.
+    // line cannot.
     std::size_t end = line.find_last_not_of(" \t\r");
     if (end == std::string::npos || end < 1 ||
         line.compare(end - 1, 2, "}}") != 0)
         return false;
 
-    JournalRecord rec;
-    std::string fpHex;
-    if (!parseStringField(line, "fp", fpHex) ||
-        !parseStringField(line, "key", rec.key))
+    std::string k;
+    if (!parseStringField(line, "key", k))
         return false;
-    rec.fingerprint = std::strtoull(fpHex.c_str(), nullptr, 16);
-
-    SocResults &r = rec.results;
+    SocResults r;
     std::uint64_t stalled = 0;
     bool ok = parseU64Field(line, "total_ticks", r.totalTicks) &&
               parseU64Field(line, "accel_cycles", r.accelCycles) &&
@@ -190,68 +175,9 @@ parseJournalLine(const std::string &line, JournalRecord &out)
         return false;
     r.stalled = stalled != 0;
     r.lanes = static_cast<unsigned>(lanes);
-    out = std::move(rec);
+    key = std::move(k);
+    results = r;
     return true;
-}
-
-JournalLoadResult
-loadJournalChecked(const std::string &path)
-{
-    JournalLoadResult out;
-    std::ifstream in(path);
-    if (!in)
-        return out;
-    std::string line;
-    bool sawHeader = false;
-    bool first = true;
-    bool lastLineBad = false;
-    while (std::getline(in, line)) {
-        if (line.find("\"schema\": \"genie-sweep-1\"") !=
-            std::string::npos) {
-            sawHeader = true;
-            first = false;
-            lastLineBad = false;
-            continue;
-        }
-        if (first && !line.empty()) {
-            fatal("journal %s: missing genie-sweep-1 header — not a "
-                  "sweep journal",
-                  path.c_str());
-        }
-        first = false;
-        // A previously seen bad line turned out to be *interior*
-        // (something followed it): that is corruption, not a torn
-        // tail, and silently skipping it would make disk corruption
-        // invisible. Count it; the final tally is warned below.
-        if (lastLineBad)
-            ++out.corruptLines;
-        lastLineBad = false;
-        if (line.empty())
-            continue;
-        JournalRecord rec;
-        if (parseJournalLine(line, rec))
-            out.records.push_back(std::move(rec));
-        else
-            lastLineBad = true;
-    }
-    out.tornFinalLine = lastLineBad;
-    if (!out.records.empty() && !sawHeader) {
-        fatal("journal %s: records without a genie-sweep-1 header",
-              path.c_str());
-    }
-    if (out.corruptLines > 0) {
-        warn("journal %s: skipped %zu corrupt interior line(s) — "
-             "this is disk corruption, not an interrupted write; the "
-             "affected points will be re-simulated",
-             path.c_str(), out.corruptLines);
-    }
-    return out;
-}
-
-std::vector<JournalRecord>
-loadJournal(const std::string &path)
-{
-    return loadJournalChecked(path).records;
 }
 
 void

@@ -1,97 +1,46 @@
 /**
  * @file
- * The sweep checkpoint journal and the deterministic results export.
+ * Result serialization: the result-store record line and the
+ * deterministic results export.
  *
- * Journal (schema `genie-sweep-1`): a JSON-lines file. The first line
- * is a header object naming the schema; every subsequent line is one
- * completed design point — canonical config key, fingerprint, and the
- * full SocResults — appended and flushed the moment the point
- * finishes. An interrupted sweep therefore loses at most the points
- * still in flight; resuming loads the journal into the ResultCache
- * and re-simulates only what is missing. The loader skips a torn
- * final line (the kill-mid-write case) instead of failing.
+ * Record line: one design point — its result key (dse/
+ * result_store.hh) and its full SocResults — as a single JSON line.
+ * It is the payload of every `genie-store-2` record. All doubles
+ * round-trip exactly through serialize/parse, so a result restored
+ * from the store is bit-identical to the freshly simulated one.
  *
  * Results export (schema `genie-sweep-results-1`): the whole sweep in
  * config order as one JSON document. Output is deterministic — field
  * order is frozen and numbers use formatStatNumber's shortest-round-
  * trip formatting — so exports byte-compare across runs, thread
- * counts, and cold/warm caches (the golden-figure suite's contract).
- *
- * All doubles round-trip exactly through serialize/parse, so a result
- * restored from a journal is bit-identical to the freshly simulated
- * one.
+ * counts, and cold/warm/resumed sweeps (the golden-figure suite's
+ * contract).
  */
 
 #ifndef GENIE_DSE_JOURNAL_HH
 #define GENIE_DSE_JOURNAL_HH
 
-#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "dse/sweep.hh"
-#include "sim/thread_safety.hh"
 
 namespace genie
 {
 
-/** One journal line: a completed design point. */
-struct JournalRecord GENIE_THREAD_LOCAL_OK
-{
-    std::string key;          ///< configCanonicalKey of the point
-    std::uint64_t fingerprint = 0;
-    SocResults results;
-};
+/** Serialize one design point as a single JSON line (no trailing
+ * newline). */
+std::string resultRecordLine(const std::string &key,
+                             const SocResults &results);
 
-/** The `genie-sweep-1` header line. */
-std::string journalHeaderLine();
-
-/** Serialize one completed point as a single JSON line (with
- * trailing newline). */
-std::string journalRecordLine(const std::string &key,
-                              std::uint64_t fingerprint,
-                              const SocResults &results);
-
-/**
- * Parse one journal line. Returns false (without touching @p out) for
- * the header line, blank lines, and torn/corrupt lines — the caller
- * just skips them.
- */
-bool parseJournalLine(const std::string &line, JournalRecord &out);
-
-/** Everything loadJournalChecked learned about a journal file. */
-struct JournalLoadResult GENIE_THREAD_LOCAL_OK
-{
-    std::vector<JournalRecord> records;
-    /**
-     * Interior lines that failed to parse: non-blank, non-header
-     * lines other than a torn *final* line. A torn final line is the
-     * expected kill-mid-write shape and stays silent; anything else
-     * is disk corruption and must never be invisible — the loader
-     * warns loudly and callers surface this count (the engine's
-     * journal_corrupt_lines stat, genie_sweep's corrupt_lines resume
-     * field).
-     */
-    std::size_t corruptLines = 0;
-    /** True when the final line was torn (skipped silently). */
-    bool tornFinalLine = false;
-};
-
-/**
- * Load every complete record from @p path, counting interior corrupt
- * lines (see JournalLoadResult). A missing file is an empty journal
- * (first run of a `--resume` path), but a file that exists and lacks
- * the `genie-sweep-1` header is a user error: fatal().
- */
-JournalLoadResult loadJournalChecked(const std::string &path);
-
-/** The records of loadJournalChecked(), for callers that do not
- * inspect corruption counts themselves (the loader still warns). */
-std::vector<JournalRecord> loadJournal(const std::string &path);
+/** Parse a resultRecordLine(). Returns false (without touching the
+ * outputs) for blank, torn or otherwise unparseable lines. */
+bool parseResultRecordLine(const std::string &line, std::string &key,
+                           SocResults &results);
 
 /** Serialize @p results as the frozen `"results": {...}` object body
- * used by both the journal and the results export. */
+ * used by both the record line and the results export. */
 std::string resultsJson(const SocResults &r);
 
 /**

@@ -2,12 +2,15 @@
  * @file
  * ResultCache: a thread-safe memo of simulated design points.
  *
- * Keys are the canonical config strings from configCanonicalKey(), so
- * equality of keys is exactly equality of result-affecting
- * configuration — a fingerprint hash collision can never produce a
- * false hit. One cache can be shared across sweeps (the Fig. 6 and
+ * Keys are the full result keys from resultKey() (core/
+ * fingerprint.hh): the trace digest followed by the canonical config
+ * string. That key is the identity — equal keys mean the same kernel
+ * under the same result-affecting configuration — so a hash
+ * collision can never produce a false hit, and two kernels can share
+ * one cache. One cache can be shared across sweeps (the Fig. 6 and
  * Fig. 8 spaces overlap in their all-optimizations DMA points) and
- * across repeated explorer invocations via the checkpoint journal.
+ * across workloads; across processes the durable tier is the
+ * ResultStore.
  *
  * Bounding: a CLI sweep lives for one process and wants every point
  * memoized, so the default is unbounded. Long-lived processes (the

@@ -44,7 +44,7 @@ const char *tmpSuffix = ".tmp";
 std::string
 storeHeaderLine(std::uint32_t crc)
 {
-    return format("{\"schema\": \"genie-store-1\", \"crc32\": "
+    return format("{\"schema\": \"genie-store-2\", \"crc32\": "
                   "\"%08x\"}\n",
                   crc);
 }
@@ -55,7 +55,6 @@ struct ReadRecord GENIE_THREAD_LOCAL_OK
     bool ok = false;
     const char *why = "";  ///< failure reason when !ok
     std::string key;
-    std::uint64_t fingerprint = 0;
     SocResults results;
     std::uint64_t bytes = 0; ///< on-disk size of the record
 };
@@ -79,9 +78,9 @@ readRecordFile(const std::string &path)
         r.why = "empty file";
         return r;
     }
-    if (header.find("\"schema\": \"genie-store-1\"") ==
+    if (header.find("\"schema\": \"genie-store-2\"") ==
         std::string::npos) {
-        r.why = "missing genie-store-1 header";
+        r.why = "missing genie-store-2 header";
         return r;
     }
     const std::string needle = "\"crc32\": \"";
@@ -100,15 +99,11 @@ readRecordFile(const std::string &path)
         r.why = "crc32 mismatch";
         return r;
     }
-    JournalRecord rec;
-    if (!parseJournalLine(payload, rec)) {
+    if (!parseResultRecordLine(payload, r.key, r.results)) {
         r.why = "unparseable payload";
         return r;
     }
     r.ok = true;
-    r.key = rec.key;
-    r.fingerprint = rec.fingerprint;
-    r.results = rec.results;
     r.bytes = header.size() + payload.size() + 2; // + two newlines
     return r;
 }
@@ -301,10 +296,10 @@ ResultStore::lookup(const std::string &key, SocResults &out)
     bool gone = !rec.ok && std::strcmp(rec.why, "unreadable") == 0;
     if (rec.ok && rec.key != key) {
         // The file changed identity since it was indexed (external
-        // interference); it is valid for *some* point but not this
-        // one. Leave it alone under its real key semantics and miss.
+        // interference or a key-hash collision); it is valid for
+        // *some* point but not this one, so it must miss.
         rec.ok = false;
-        rec.why = "canonical key mismatch";
+        rec.why = "result key mismatch";
     }
     if (!rec.ok) {
         if (!gone)
@@ -324,8 +319,7 @@ ResultStore::lookup(const std::string &key, SocResults &out)
 }
 
 void
-ResultStore::insert(const std::string &key, std::uint64_t fingerprint,
-                    const SocResults &results)
+ResultStore::insert(const std::string &key, const SocResults &results)
 {
     std::lock_guard<std::mutex> lock(mutex);
     if (_dir.empty())
@@ -338,32 +332,17 @@ ResultStore::insert(const std::string &key, std::uint64_t fingerprint,
         return;
     }
 
-    std::string payload = journalRecordLine(key, fingerprint, results);
-    if (!payload.empty() && payload.back() == '\n')
-        payload.pop_back();
+    const std::string payload = resultRecordLine(key, results);
     std::uint32_t crc = crc32Ieee(payload.data(), payload.size());
     const std::string contents =
         storeHeaderLine(crc) + payload + "\n";
 
-    // Content address: fingerprint names the file. On the (measure-
-    // zero, but handled) chance two live keys share a fingerprint,
-    // probe numbered siblings; the record's embedded key keeps every
-    // outcome correct regardless.
-    std::string base = fingerprintHex(fingerprint);
-    std::string name = base + recordSuffix;
-    for (unsigned probe = 1; probe < 16; ++probe) {
-        bool taken = false;
-        for (const auto &[k, r] : index) {
-            if (r.file == name) {
-                taken = true;
-                break;
-            }
-        }
-        if (!taken)
-            break;
-        name = base + "-" + std::to_string(probe) + recordSuffix;
-    }
-
+    // Content address: the key's hash names the file. Two live keys
+    // sharing a 64-bit hash would overwrite each other's file; the
+    // record's embedded key turns that into a miss, never a wrong
+    // result.
+    const std::string name =
+        fingerprintHex(fnv1a64(key)) + recordSuffix;
     if (!writeFileDurably(path(name), contents))
         return; // warned already; the store is a cache, not a gate
     syncDirectory(_dir);

@@ -1,29 +1,34 @@
 /**
  * @file
  * ResultStore: the durable, self-verifying, content-addressed store
- * of simulated design points (schema `genie-store-1`).
+ * of simulated design points (schema `genie-store-2`) — the one
+ * durable result tier.
  *
  * The in-memory ResultCache memoizes points for the lifetime of one
  * process; the ResultStore is its on-disk big sibling, shared across
- * processes, daemon restarts, and days. Records are addressed by
- * configuration content: the filename is the configCanonicalKey's
- * fingerprint (fingerprintHex), and the record itself carries the
- * full canonical key, so a fingerprint collision degrades to a miss,
- * never to a wrong result — the fingerprint is the index, the key is
- * the identity, exactly as in the ResultCache.
+ * processes, daemon restarts, and days. Re-running an interrupted
+ * sweep against the same store replays every finished point as a
+ * hit. Records are addressed by result key: the full
+ * `trace=<digest> <canonical config>` string of resultKey()
+ * (core/fingerprint.hh). The filename is the FNV-1a hash of that key
+ * (fingerprintHex), and the record itself carries the full key, so a
+ * hash collision degrades to a miss, never to a wrong result — the
+ * hash is the index, the key is the identity, exactly as in the
+ * ResultCache.
  *
  * Durability and self-verification:
  *
- *  - One record per file. A record is the genie-store-1 header line
- *    (carrying a CRC32 of the payload) followed by one payload line
- *    in the journal's `genie-sweep-1` record format, so results
- *    round-trip bit-exactly through the same serializer the
- *    checkpoint journal already proves.
+ *  - One record per file. A record is the genie-store-2 header line
+ *    (carrying a CRC32 of the payload) followed by one
+ *    resultRecordLine() payload line (dse/journal.hh), through which
+ *    results round-trip bit-exactly. Records of any other schema
+ *    (genie-store-1 keyed on the config alone) are quarantined like
+ *    corrupt ones, so they can only ever miss.
  *  - Writes are atomic: the record is written to a `.tmp` sibling,
  *    fsync'd, then renamed into place. A `kill -9` at any instant
  *    leaves either the old state or the new record, never a torn
  *    visible record; stale `.tmp` debris is swept on open.
- *  - Every read re-verifies the CRC and the canonical key. A corrupt
+ *  - Every read re-verifies the CRC and the result key. A corrupt
  *    record — torn, truncated, bit-flipped, or semantically
  *    mismatched — is *quarantined* (moved to `quarantine/` for
  *    post-mortem) and reported as a miss, so the caller simply
@@ -104,20 +109,20 @@ class ResultStore
     bool isOpen() const;
 
     /**
-     * If a record for @p key exists and verifies (CRC and canonical
-     * key both match), copy its results into @p out and return true.
+     * If a record for @p key exists and verifies (CRC and result key
+     * both match), copy its results into @p out and return true.
      * A corrupt record is quarantined and reported as a miss.
      */
     bool lookup(const std::string &key, SocResults &out);
 
     /**
-     * Durably persist @p results under @p key / @p fingerprint
-     * (atomic write-rename, fsync'd). First writer wins; inserting a
-     * key that is already indexed only refreshes its recency. May
-     * evict least-recently-used records to honor the byte budget.
+     * Durably persist @p results under @p key (atomic write-rename,
+     * fsync'd) in a file named after the key's hash. First writer
+     * wins; inserting a key that is already indexed only refreshes
+     * its recency. May evict least-recently-used records to honor
+     * the byte budget.
      */
-    void insert(const std::string &key, std::uint64_t fingerprint,
-                const SocResults &results);
+    void insert(const std::string &key, const SocResults &results);
 
     /** Snapshot of the store counters. */
     ResultStoreStats stats() const;

@@ -122,7 +122,7 @@ std::vector<SocConfig> filterConfigs(
  * Simulate every configuration (in parallel when @p threads > 1).
  * Results are returned in the order of @p configs. A thin wrapper
  * over SweepEngine (see dse/sweep_engine.hh) with default options:
- * private cache, no journal, worker exceptions rethrown as
+ * private cache, no store, worker exceptions rethrown as
  * SweepError.
  */
 std::vector<DesignPoint> runSweep(const std::vector<SocConfig> &configs,

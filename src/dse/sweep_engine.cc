@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <fstream>
 #include <mutex>
 #include <thread>
 
 #include "core/fingerprint.hh"
 #include "core/soc.hh"
-#include "dse/journal.hh"
 #include "dse/result_store.hh"
 #include "metrics/profiler.hh"
 #include "sim/logging.hh"
@@ -17,11 +15,11 @@
 namespace genie
 {
 
-/** Per-run scheduler and journal state, private to run(). */
+/** Per-run scheduler state, private to run(). */
 struct SweepEngine::Impl
 {
     // Inputs resolved for this run.
-    /** Canonical key per index. */
+    /** Result key per index (resultKey of the run's trace). */
     std::vector<std::string> keys GENIE_SHARED_OK(filled before
                                                   workers spawn and
                                                   read-only after);
@@ -67,13 +65,6 @@ struct SweepEngine::Impl
     std::vector<FailedPoint> failures GENIE_GUARDED_BY(failureMutex);
 
     std::mutex progressMutex; ///< serializes the user callback
-
-    std::mutex journalMutex;
-    std::ofstream journal GENIE_GUARDED_BY(journalMutex);
-    /** Whether this run journals at all; the stream itself is only
-     * touched under journalMutex. */
-    bool journalEnabled GENIE_SHARED_OK(set before workers spawn and
-                                        read-only after) = false;
 
     /** Pop the next index: own deque first, then steal. Returns
      * npos when every deque is empty. */
@@ -122,9 +113,6 @@ SweepEngine::SweepEngine(SweepOptions options)
                 "in millions");
     statStoreHits = &statGroup.add(
         "store_hits", "points served from the durable result store");
-    statJournalCorrupt = &statGroup.add(
-        "journal_corrupt_lines",
-        "corrupt interior journal lines skipped during resume");
 }
 
 SweepEngine::~SweepEngine() = default;
@@ -211,8 +199,6 @@ SweepEngine::publishStats()
     *statEvents = static_cast<double>(impl->events.load());
     *statMeps = meps();
     *statStoreHits = static_cast<double>(impl->storeHits.load());
-    *statJournalCorrupt =
-        static_cast<double>(_journalCorruptLines);
 }
 
 std::vector<DesignPoint>
@@ -225,7 +211,6 @@ SweepEngine::run(const std::vector<SocConfig> &configs,
     _events = 0;
     _wallNs = 0;
     _storeHits = 0;
-    _journalCorruptLines = 0;
 
     impl = std::make_unique<Impl>();
     Impl &st = *impl;
@@ -233,41 +218,14 @@ SweepEngine::run(const std::vector<SocConfig> &configs,
 
     st.cache = opts.cache ? opts.cache : &st.ownedCache;
 
-    // Resume: preload every journaled point into the cache. Points
-    // of other spaces/workloads cost a map entry and nothing else —
-    // keys only hit when the config truly matches. Interior corrupt
-    // lines (real disk corruption, not a torn tail) are counted and
-    // surfaced: the loader warns, and the count lands in the
-    // journal_corrupt_lines stat and journalCorruptLines().
-    if (!opts.resumePath.empty()) {
-        JournalLoadResult loaded =
-            loadJournalChecked(opts.resumePath);
-        for (auto &rec : loaded.records)
-            st.cache->insert(rec.key, rec.results);
-        _journalCorruptLines = loaded.corruptLines;
-    }
-
-    // Journal: append when restarting onto the same file, otherwise
-    // start a fresh one with the schema header.
-    if (!opts.journalPath.empty()) {
-        bool appending = opts.journalPath == opts.resumePath &&
-                         std::ifstream(opts.journalPath).good();
-        std::lock_guard<std::mutex> lock(st.journalMutex);
-        st.journal.open(opts.journalPath,
-                        appending ? std::ios::app : std::ios::trunc);
-        if (!st.journal) {
-            fatal("sweep journal %s: cannot open for writing",
-                  opts.journalPath.c_str());
-        }
-        if (!appending)
-            st.journal << journalHeaderLine() << std::flush;
-        st.journalEnabled = true;
-    }
-
+    // One digest per run, not per point: every tier keys on the
+    // trace as well as the config, so kernels sharing a cache or a
+    // store never see each other's results.
+    const std::uint64_t digest = traceDigest(trace);
     st.keys.resize(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
         points[i].config = configs[i];
-        st.keys[i] = configCanonicalKey(configs[i]);
+        st.keys[i] = resultKey(digest, configs[i]);
     }
 
     unsigned threads = opts.threads;
@@ -386,18 +344,8 @@ SweepEngine::run(const std::vector<SocConfig> &configs,
         // Write-through: the point is durable the moment it
         // completes, so a killed process loses at most what was
         // still in flight.
-        if (opts.store) {
-            opts.store->insert(st.keys[i],
-                               configFingerprint(configs[i]),
-                               points[i].results);
-        }
-        if (st.journalEnabled) {
-            std::string line = journalRecordLine(
-                st.keys[i], configFingerprint(configs[i]),
-                points[i].results);
-            std::lock_guard<std::mutex> lock(st.journalMutex);
-            st.journal << line << std::flush;
-        }
+        if (opts.store)
+            opts.store->insert(st.keys[i], points[i].results);
         st.done.fetch_add(1);
         reportProgress(false);
     };
@@ -452,10 +400,6 @@ SweepEngine::run(const std::vector<SocConfig> &configs,
                   return a.index < b.index;
               });
     publishStats();
-    if (st.journalEnabled) {
-        std::lock_guard<std::mutex> lock(st.journalMutex);
-        st.journal.close();
-    }
     impl.reset();
 
     if (!_failures.empty() && !opts.continueOnError) {

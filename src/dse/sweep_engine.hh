@@ -10,29 +10,32 @@
  *    deques; an idle worker pops its own deque from the front and
  *    steals from the back of a victim's, so one expensive cache-mode
  *    point never serializes the tail of a sweep.
- *  - memoization: every point is keyed by configCanonicalKey() and
- *    looked up in a ResultCache before simulating. The Fig. 6 and
- *    Fig. 8 DMA spaces overlap in their all-optimizations points, and
- *    explorer invocations repeat whole spaces; both dedupe to cache
- *    hits. Pass a shared cache in SweepOptions to dedupe across
- *    sweeps; otherwise the engine uses a private one.
- *  - checkpointing: with a journal path set, each freshly simulated
- *    point is appended (and flushed) as a `genie-sweep-1` JSON line;
- *    with a resume path set, the journal is preloaded into the cache
- *    so an interrupted sweep redoes only the missing points.
+ *  - memoization: run() digests the trace once (traceDigest) and
+ *    keys every point by resultKey(digest, config), so one kernel's
+ *    results are never served to another. Each point goes through
+ *    one memo path: the ResultCache, then the ResultStore, then the
+ *    simulator. The Fig. 6 and Fig. 8 DMA spaces overlap in their
+ *    all-optimizations points, and explorer invocations repeat whole
+ *    spaces; both dedupe to cache hits. Pass a shared cache in
+ *    SweepOptions to dedupe across sweeps; otherwise the engine uses
+ *    a private one.
+ *  - resumption: with a store set, each freshly simulated point is
+ *    written through to disk as it completes, so re-running an
+ *    interrupted sweep on the same store redoes only the missing
+ *    points.
  *  - failure: a throw inside a worker never terminates the process
  *    and never silently drops the point. Failures are collected with
  *    the offending config attached and rethrown as one SweepError
  *    after the sweep (or reported in progress counters with
  *    continueOnError).
  *
- * Determinism: a design point's results depend only on its config
- * (each Soc owns its event queue), so sweep output is byte-identical
- * across thread counts, cold vs. warm caches, and interrupted-then-
- * resumed vs. uninterrupted runs — the golden-figure suite asserts
+ * Determinism: a design point's results depend only on its trace and
+ * config (each Soc owns its event queue), so sweep output is
+ * byte-identical across thread counts, cold vs. warm caches, and
+ * interrupted-then-resumed vs. uninterrupted runs — the golden-figure suite asserts
  * all three. Host time is read only through the sanctioned
  * HostProfiler, for the MEPS throughput report; it never enters
- * results or the journal (the sweep-determinism lint rule).
+ * results or the store (the sweep-determinism lint rule).
  */
 
 #ifndef GENIE_DSE_SWEEP_ENGINE_HH
@@ -62,7 +65,7 @@ struct SweepProgress GENIE_THREAD_LOCAL_OK
 {
     std::size_t total = 0;  ///< points in the sweep
     std::size_t done = 0;   ///< freshly simulated
-    std::size_t cached = 0; ///< served from the ResultCache/journal
+    std::size_t cached = 0; ///< served from the ResultCache/store
     std::size_t failed = 0; ///< worker exceptions (see failures())
     /** Aggregate simulator throughput so far: millions of simulated
      * events retired per host-second, summed over workers. */
@@ -70,7 +73,7 @@ struct SweepProgress GENIE_THREAD_LOCAL_OK
 
     // Live telemetry (populated only while a run is in flight; all
     // host-time-derived, so none of it ever enters results or the
-    // journal).
+    // store).
     unsigned workers = 0; ///< worker threads in this run
     unsigned active = 0;  ///< workers currently simulating a point
     double elapsedSeconds = 0.0;  ///< host time since run() began
@@ -79,7 +82,7 @@ struct SweepProgress GENIE_THREAD_LOCAL_OK
      * rate is measurable). */
     double etaSeconds = 0.0;
     /** cached / (done + cached): how much of the sweep the result
-     * cache and resume journal absorbed. */
+     * cache and store absorbed. */
     double cacheHitRate = 0.0;
     /** active / workers: the fraction of the pool doing useful work
      * (drops at the tail when deques drain). */
@@ -128,14 +131,6 @@ struct SweepOptions GENIE_SHARED_OK(written before run starts and
     /** Worker threads; 0 = hardware concurrency. */
     unsigned threads = 0;
 
-    /** Append a `genie-sweep-1` record per fresh simulation; "" =
-     * no journal. Truncated unless it is also the resume path. */
-    std::string journalPath;
-
-    /** Preload this journal into the cache before sweeping; "" =
-     * cold start. May equal journalPath (the restart case). */
-    std::string resumePath;
-
     /** Stop cleanly after this many fresh simulations (0 = no
      * limit). Used to test and exercise interruption/resume. */
     std::size_t maxFreshPoints = 0;
@@ -152,15 +147,16 @@ struct SweepOptions GENIE_SHARED_OK(written before run starts and
      * miss the engine consults the store (a store hit counts as
      * cached and is promoted into the cache), and every fresh
      * simulation is written through, so completed points survive the
-     * process — the genie_serve crash-tolerance contract. The store
-     * must be open; null = no persistence.
+     * process — the genie_serve crash-tolerance contract and the
+     * way an interrupted sweep resumes. The store must be open;
+     * null = no persistence.
      */
     ResultStore *store = nullptr;
 
     /**
      * Cooperative stop: when the pointee becomes true (a signal
      * handler's drain request), workers stop dealing new points,
-     * in-flight points finish and journal normally, and run()
+     * in-flight points finish and are stored normally, and run()
      * returns with interrupted() set. Null = never stopped.
      */
     const std::atomic<bool> *stopRequested = nullptr;
@@ -211,14 +207,6 @@ class SweepEngine
     /** Points of the last run served from the durable ResultStore
      * (a subset of the cached count). */
     std::uint64_t storeHits() const { return _storeHits; }
-
-    /** Corrupt interior journal lines skipped while resuming the
-     * last run (see JournalLoadResult::corruptLines); nonzero means
-     * disk corruption and the affected points were re-simulated. */
-    std::size_t journalCorruptLines() const
-    {
-        return _journalCorruptLines;
-    }
 
     /** Simulated events retired across all workers (HostProfiler). */
     std::uint64_t simulatedEvents() const { return _events; }
@@ -271,9 +259,6 @@ class SweepEngine
     Stat *statStoreHits GENIE_SHARED_OK(bound in ctor; pointee
                                         written after workers
                                         join) = nullptr;
-    Stat *statJournalCorrupt GENIE_SHARED_OK(bound in ctor; pointee
-                                             written before workers
-                                             spawn) = nullptr;
 
     /** Owner-thread mirrors of the last run, copied after the join. */
     std::vector<FailedPoint> _failures GENIE_THREAD_LOCAL_OK;
@@ -281,7 +266,6 @@ class SweepEngine
     std::uint64_t _events GENIE_THREAD_LOCAL_OK = 0;
     std::uint64_t _wallNs GENIE_THREAD_LOCAL_OK = 0;
     std::uint64_t _storeHits GENIE_THREAD_LOCAL_OK = 0;
-    std::size_t _journalCorruptLines GENIE_THREAD_LOCAL_OK = 0;
 
     void publishStats();
 };

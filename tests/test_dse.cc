@@ -8,13 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
+#include <functional>
 #include <sstream>
 
 #include "core/fingerprint.hh"
 #include "dse/journal.hh"
 #include "dse/pareto.hh"
+#include "dse/result_store.hh"
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"
 #include "workloads/workload.hh"
@@ -315,71 +316,49 @@ TEST(SweepEngine, CacheDedupesOverlappingSpaces)
     EXPECT_EQ(engine.progress().done, 0u);
 }
 
-TEST(SweepEngine, JournalRoundTripsExactResults)
+TEST(SweepEngine, SharedCacheKeepsKernelsApart)
 {
-    const auto &s = space();
-    const std::string path =
-        ::testing::TempDir() + "genie_sweep_journal.jsonl";
-    std::remove(path.c_str());
+    // Two kernels through one cache, with one config in common: the
+    // second kernel must simulate its own trace, never be served the
+    // first kernel's results for the shared config.
+    SocConfig shared;
+    shared.lanes = 4;
+    shared.spadPartitions = 4;
+    SocConfig wide = shared;
+    wide.lanes = 8;
 
-    SweepOptions options;
-    options.journalPath = path;
-    SweepEngine engine(std::move(options));
-    auto points = engine.run(s.configs, s.trace, s.dddg);
-
-    auto records = loadJournal(path);
-    ASSERT_EQ(records.size(), s.configs.size());
-    for (const auto &rec : records) {
-        bool matched = false;
-        for (std::size_t i = 0; i < s.configs.size(); ++i) {
-            if (rec.key != configCanonicalKey(s.configs[i]))
-                continue;
-            matched = true;
-            EXPECT_EQ(rec.fingerprint,
-                      configFingerprint(s.configs[i]));
-            EXPECT_EQ(resultsJson(rec.results),
-                      resultsJson(points[i].results))
-                << "journaled doubles must round-trip bit-exactly";
-        }
-        EXPECT_TRUE(matched) << "unknown journal key " << rec.key;
-    }
-    std::remove(path.c_str());
-}
-
-TEST(SweepEngine, JournalLoaderSkipsTornFinalLine)
-{
-    const auto &s = space();
-    const std::string path =
-        ::testing::TempDir() + "genie_sweep_torn.jsonl";
-    std::remove(path.c_str());
-
-    SweepOptions options;
-    options.journalPath = path;
-    SweepEngine engine(std::move(options));
-    engine.run(s.configs, s.trace, s.dddg);
-
-    // Simulate a kill mid-write: append half a record.
+    struct Kernel
     {
-        std::ofstream torn(path, std::ios::app);
-        torn << "{\"key\": \"mem=dma lanes=2\", \"fingerprint\":";
-    }
-    auto records = loadJournal(path);
-    EXPECT_EQ(records.size(), s.configs.size())
-        << "a torn trailing line is skipped, not fatal";
+        std::string name;
+        std::vector<SocConfig> configs;
+    };
+    const std::vector<Kernel> kernels = {
+        {"gemm-ncubed", {shared, wide}},
+        {"aes-aes", {shared}},
+    };
 
-    JournalRecord rec;
-    EXPECT_FALSE(parseJournalLine(journalHeaderLine(), rec));
-    EXPECT_FALSE(parseJournalLine("", rec));
-    EXPECT_FALSE(parseJournalLine("{\"key\": \"x\", \"fing", rec));
-    std::remove(path.c_str());
+    ResultCache cache;
+    SweepOptions options;
+    options.cache = &cache;
+    SweepEngine engine(std::move(options));
+    for (const Kernel &k : kernels) {
+        Trace trace = makeWorkload(k.name)->build().trace;
+        Dddg dddg(trace);
+        auto points = engine.run(k.configs, trace, dddg);
+        EXPECT_EQ(engine.progress().cached, 0u) << k.name;
+        auto fresh = SweepEngine().run(k.configs, trace, dddg);
+        EXPECT_EQ(sweepJson(points), sweepJson(fresh))
+            << k.name << " must match a fresh single-kernel run";
+    }
+    EXPECT_EQ(cache.size(), 3u);
 }
 
-TEST(SweepEngine, InterruptedSweepResumesFromJournal)
+TEST(SweepEngine, InterruptedSweepResumesFromStore)
 {
     const auto &s = space();
-    const std::string path =
-        ::testing::TempDir() + "genie_sweep_resume.jsonl";
-    std::remove(path.c_str());
+    const std::string dir =
+        ::testing::TempDir() + "genie_sweep_resume_store";
+    std::filesystem::remove_all(dir);
 
     // Uninterrupted reference run.
     SweepEngine reference;
@@ -387,32 +366,37 @@ TEST(SweepEngine, InterruptedSweepResumesFromJournal)
 
     // Interrupted run: stop cleanly after two fresh points.
     {
+        ResultStore store;
+        store.open(dir);
         SweepOptions options;
-        options.journalPath = path;
+        options.store = &store;
         options.maxFreshPoints = 2;
         SweepEngine engine(std::move(options));
         engine.run(s.configs, s.trace, s.dddg);
         EXPECT_TRUE(engine.interrupted());
         EXPECT_EQ(engine.progress().done, 2u);
+        EXPECT_EQ(store.stats().records, 2u);
     }
-    ASSERT_EQ(loadJournal(path).size(), 2u);
 
-    // Resume: same journal file preloads the two finished points.
+    // Resume: a new engine on the reopened store replays the two
+    // finished points and simulates only the rest.
+    ResultStore store;
+    store.open(dir);
     SweepOptions options;
-    options.journalPath = path;
-    options.resumePath = path;
+    options.store = &store;
     SweepEngine engine(std::move(options));
     auto resumed = engine.run(s.configs, s.trace, s.dddg);
 
     EXPECT_FALSE(engine.interrupted());
     EXPECT_EQ(engine.progress().cached, 2u);
+    EXPECT_EQ(engine.storeHits(), 2u);
     EXPECT_EQ(engine.progress().done, s.configs.size() - 2);
     EXPECT_EQ(sweepJson(resumed), sweepJson(expected))
         << "resumed results must be byte-identical to an "
            "uninterrupted sweep";
-    EXPECT_EQ(loadJournal(path).size(), s.configs.size())
-        << "the resumed run appends the missing points";
-    std::remove(path.c_str());
+    EXPECT_EQ(store.stats().records, s.configs.size())
+        << "the resumed run stores the missing points";
+    std::filesystem::remove_all(dir);
 }
 
 TEST(SweepEngine, ProgressCallbackCoversEveryPoint)
@@ -594,46 +578,80 @@ TEST(ResultCache, DefaultIsUnbounded)
     EXPECT_EQ(cache.evictions(), 0u);
 }
 
-TEST(Journal, CheckedLoaderCountsInteriorCorruptLines)
+// ---------------------------------------------------------------------
+// Trace digest: the workload half of every result key
+// ---------------------------------------------------------------------
+
+TEST(TraceDigest, EqualForTwoBuildsOfOneWorkload)
 {
-    const std::string path =
-        ::testing::TempDir() + "genie_corrupt_journal.jsonl";
-    std::remove(path.c_str());
-    {
-        SocResults r;
-        std::ofstream out(path);
-        out << journalHeaderLine();
-        out << journalRecordLine("key-a", 0x1, r);
-        out << "garbage that is not a record\n"; // interior damage
-        out << journalRecordLine("key-b", 0x2, r);
-    }
-    JournalLoadResult loaded = loadJournalChecked(path);
-    EXPECT_EQ(loaded.records.size(), 2u)
-        << "records around the damage must still load";
-    EXPECT_EQ(loaded.corruptLines, 1u)
-        << "interior corruption must be counted, never silent";
-    EXPECT_FALSE(loaded.tornFinalLine);
-    std::remove(path.c_str());
+    EXPECT_EQ(traceDigest(makeWorkload("aes-aes")->build().trace),
+              traceDigest(makeWorkload("aes-aes")->build().trace));
+    EXPECT_NE(traceDigest(makeWorkload("aes-aes")->build().trace),
+              traceDigest(makeWorkload("gemm-ncubed")->build().trace));
 }
 
-TEST(Journal, TornFinalLineIsSilentlySkippedNotCorrupt)
+TEST(TraceDigest, EveryCoveredFieldChangesIt)
 {
-    const std::string path =
-        ::testing::TempDir() + "genie_torn_journal.jsonl";
-    std::remove(path.c_str());
-    {
-        SocResults r;
-        std::ofstream out(path);
-        out << journalHeaderLine();
-        out << journalRecordLine("key-a", 0x1, r);
-        out << "{\"key\": \"key-b\", \"finge"; // kill-mid-write
+    const Trace base = makeWorkload("aes-aes")->build().trace;
+    const std::uint64_t want = traceDigest(base);
+    ASSERT_FALSE(base.arrays.empty());
+    std::size_t mem = 0, dep = 0;
+    while (!isMemoryOp(base.ops.at(mem).op))
+        ++mem;
+    while (base.ops.at(dep).deps.empty())
+        ++dep;
+
+    const ArrayInfo &a0 = base.arrays[0];
+    using Edit = std::function<void(Trace &)>;
+    const std::vector<std::pair<const char *, Edit>> edits = {
+        {"array name", [](Trace &t) { t.arrays[0].name += "x"; }},
+        {"array size", [](Trace &t) { t.arrays[0].sizeBytes += 4; }},
+        {"word bytes", [](Trace &t) { t.arrays[0].wordBytes *= 2; }},
+        {"input flag",
+         [&](Trace &t) { t.arrays[0].isInput = !a0.isInput; }},
+        {"output flag",
+         [&](Trace &t) { t.arrays[0].isOutput = !a0.isOutput; }},
+        {"private flag",
+         [&](Trace &t) {
+             t.arrays[0].privateScratch = !a0.privateScratch;
+         }},
+        {"iterations", [](Trace &t) { ++t.numIterations; }},
+        {"opcode",
+         [&](Trace &t) {
+             t.ops[mem].op = t.ops[mem].op == Opcode::Load
+                                 ? Opcode::Store
+                                 : Opcode::Load;
+         }},
+        {"array id", [&](Trace &t) { t.ops[mem].arrayId += 1; }},
+        {"access size", [&](Trace &t) { t.ops[mem].size += 1; }},
+        {"op iteration", [&](Trace &t) { t.ops[mem].iteration += 1; }},
+        {"op offset", [&](Trace &t) { t.ops[mem].offset += 4; }},
+        {"one dep", [&](Trace &t) { t.ops[dep].deps.pop_back(); }},
+        {"dep value", [&](Trace &t) { t.ops[dep].deps[0] += 1; }},
+        {"op count", [](Trace &t) { t.ops.pop_back(); }},
+    };
+    for (auto &[what, edit] : edits) {
+        Trace t = base;
+        edit(t);
+        EXPECT_NE(traceDigest(t), want) << what;
     }
-    JournalLoadResult loaded = loadJournalChecked(path);
-    EXPECT_EQ(loaded.records.size(), 1u);
-    EXPECT_EQ(loaded.corruptLines, 0u)
-        << "a torn final line is the expected interruption shape";
-    EXPECT_TRUE(loaded.tornFinalLine);
-    std::remove(path.c_str());
+}
+
+TEST(TraceDigest, PinnedForStencil2d)
+{
+    // Every stored result is keyed on this digest: a format change
+    // would silently cold-start every user store. Change the pin
+    // only together with a store schema bump.
+    EXPECT_EQ(fingerprintHex(traceDigest(
+                  makeWorkload("stencil-stencil2d")->build().trace)),
+              "1efcfa50848a55c4");
+}
+
+TEST(TraceDigest, PrefixesEveryResultKey)
+{
+    SocConfig c;
+    EXPECT_EQ(resultKey(0x0123456789abcdefull, c),
+              "trace=0123456789abcdef " + configCanonicalKey(c));
 }
 
 TEST(SpaceFilter, ParsesAxesAndRejectsGarbage)

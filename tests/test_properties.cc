@@ -289,11 +289,11 @@ TEST(DesignSpaceProperties, IsolatedAsCacheLandsInSweepableRange)
 
 TEST(ConfigIdentity, FingerprintInjectiveOverEnumeratedSpaces)
 {
-    // The ResultCache keys on the canonical string, so a fingerprint
-    // collision could never corrupt results — but the journal stores
-    // the fingerprint as the compact identity, so prove it injective
-    // over everything the sweeps enumerate: distinct keys must never
-    // share a fingerprint, and equal keys must (trivially) agree.
+    // The result tiers key on the full string, so a fingerprint
+    // collision could never corrupt results — but the results export
+    // prints the fingerprint as the compact identity, so prove it
+    // injective over everything the sweeps enumerate: distinct keys
+    // must never share a fingerprint, and equal keys must agree.
     std::map<std::uint64_t, std::string> byFingerprint;
     std::size_t distinct = 0;
     for (const SocConfig &c : allEnumeratedConfigs()) {

@@ -30,6 +30,7 @@
 #include <unistd.h>
 
 #include "core/fingerprint.hh"
+#include "dse/job.hh"
 #include "dse/journal.hh"
 #include "dse/result_store.hh"
 #include "dse/sweep_engine.hh"
@@ -38,6 +39,10 @@
 #include "serve/server.hh"
 #include "serve/worker.hh"
 #include "workloads/workload.hh"
+
+#ifndef GENIE_SERVE_EXE
+#error "tests/CMakeLists.txt must define GENIE_SERVE_EXE"
+#endif
 
 namespace fs = std::filesystem;
 
@@ -145,7 +150,7 @@ TEST(ResultStore, RoundTripsResultsBitExactly)
     ResultStore store;
     store.open(dir);
     SocResults in = sampleResults(41.0);
-    store.insert("lanes=4", 0x1234abcdu, in);
+    store.insert("lanes=4", in);
 
     SocResults out;
     ASSERT_TRUE(store.lookup("lanes=4", out));
@@ -166,8 +171,7 @@ TEST(ResultStore, SurvivesReopen)
         ResultStore store;
         store.open(dir);
         for (int i = 0; i < 3; ++i) {
-            store.insert(format("key-%d", i), 0x1000u + i,
-                         sampleResults(i + 1));
+            store.insert(format("key-%d", i), sampleResults(i + 1));
         }
     }
     ResultStore reopened;
@@ -185,7 +189,7 @@ TEST(ResultStore, QuarantinesCorruptRecordOnLookup)
     const std::string dir = scratchDir();
     ResultStore store;
     store.open(dir);
-    store.insert("poisoned", 0xdeadu, sampleResults(7.0));
+    store.insert("poisoned", sampleResults(7.0));
 
     // Flip one payload byte behind the store's back: the CRC check
     // must catch it, quarantine the file, and report a miss — never
@@ -213,19 +217,26 @@ TEST(ResultStore, ReopenQuarantinesPartialRecordAndSweepsTmp)
     {
         ResultStore store;
         store.open(dir);
-        store.insert("whole", 0x77u, sampleResults(3.0));
+        store.insert("whole", sampleResults(3.0));
     }
     // A daemon killed mid-insert leaves either a .tmp (never
     // renamed) or, with external interference, a truncated record.
     writeTextFile(dir + "/deadbeef00000000.rec",
-                  "{\"schema\": \"genie-store-1\", \"crc32\": "
+                  "{\"schema\": \"genie-store-2\", \"crc32\": "
                   "\"00000000\"}\n");
     writeTextFile(dir + "/cafe000000000000.rec.tmp", "partial");
+    // A torn payload whose CRC still matches must fail the parse.
+    const std::string torn = "{\"key\": \"torn\", \"results\": {";
+    writeTextFile(dir + "/beef000000000000.rec",
+                  format("{\"schema\": \"genie-store-2\", "
+                         "\"crc32\": \"%08x\"}\n",
+                         crc32Ieee(torn.data(), torn.size())) +
+                      torn + "\n");
 
     ResultStore reopened;
     reopened.open(dir);
     EXPECT_EQ(reopened.stats().reloaded, 1u);
-    EXPECT_EQ(reopened.stats().corrupt, 1u);
+    EXPECT_EQ(reopened.stats().corrupt, 2u);
     EXPECT_FALSE(fs::exists(dir + "/cafe000000000000.rec.tmp"))
         << "killed writers' .tmp debris must be swept on open";
     SocResults out;
@@ -239,8 +250,8 @@ TEST(ResultStore, EvictsLeastRecentlyUsedUnderBudget)
     const std::string dir = scratchDir();
     ResultStore store;
     store.open(dir, 1); // absurdly tight: at most one record survives
-    store.insert("first", 0x1u, sampleResults(1.0));
-    store.insert("second", 0x2u, sampleResults(2.0));
+    store.insert("first", sampleResults(1.0));
+    store.insert("second", sampleResults(2.0));
     EXPECT_GE(store.stats().evictions, 1u);
     SocResults out;
     EXPECT_FALSE(store.lookup("first", out))
@@ -255,12 +266,74 @@ TEST(ResultStore, InsertIsFirstWriterWins)
     ResultStore store;
     store.open(dir);
     SocResults a = sampleResults(1.0);
-    store.insert("k", 0x9u, a);
-    store.insert("k", 0x9u, sampleResults(2.0));
+    store.insert("k", a);
+    store.insert("k", sampleResults(2.0));
     EXPECT_EQ(store.stats().inserts, 1u);
     SocResults out;
     ASSERT_TRUE(store.lookup("k", out));
     EXPECT_EQ(resultsJson(out), resultsJson(a));
+}
+
+TEST(ResultStore, KeysSharingOneConfigFingerprintAllRoundTrip)
+{
+    // Twenty kernels share one config: file names must come from
+    // the full key, not the config.
+    const std::string dir = scratchDir();
+    SocConfig config;
+    std::vector<std::string> keys;
+    for (std::uint64_t digest = 1; digest <= 20; ++digest)
+        keys.push_back(resultKey(digest * 0x9e3779b97f4a7c15ull,
+                                 config));
+    {
+        ResultStore store;
+        store.open(dir);
+        for (std::size_t i = 0; i < keys.size(); ++i)
+            store.insert(keys[i], sampleResults(i + 1.0));
+        EXPECT_EQ(store.stats().records, keys.size());
+    }
+    ResultStore reopened;
+    reopened.open(dir);
+    EXPECT_EQ(reopened.stats().reloaded, keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        SocResults out;
+        ASSERT_TRUE(reopened.lookup(keys[i], out)) << keys[i];
+        EXPECT_EQ(resultsJson(out),
+                  resultsJson(sampleResults(i + 1.0)))
+            << keys[i];
+    }
+}
+
+TEST(ResultStore, Store1RecordIsNeverAHit)
+{
+    // A well-formed record of the old config-only schema, CRC and
+    // all, under both the old key and the new one: neither may hit.
+    const std::string dir = scratchDir();
+    SocConfig config;
+    const std::string oldKey = configCanonicalKey(config);
+    const std::string newKey = resultKey(0x1234u, config);
+    int n = 0;
+    for (const std::string &key : {oldKey, newKey}) {
+        std::string payload =
+            format("{\"fp\": \"%s\", \"key\": \"%s\", ",
+                   fingerprintHex(configFingerprint(config)).c_str(),
+                   key.c_str()) +
+            "\"results\": " + resultsJson(sampleResults(5.0)) + "}";
+        writeTextFile(
+            dir + format("/%016x.rec", ++n),
+            format("{\"schema\": \"genie-store-1\", \"crc32\": "
+                   "\"%08x\"}\n",
+                   crc32Ieee(payload.data(), payload.size())) +
+                payload + "\n");
+    }
+    ResultStore store;
+    store.open(dir);
+    EXPECT_EQ(store.stats().reloaded, 0u);
+    EXPECT_EQ(store.stats().corrupt, 2u)
+        << "old-schema records are quarantined on open";
+    SocResults out;
+    EXPECT_FALSE(store.lookup(oldKey, out));
+    EXPECT_FALSE(store.lookup(newKey, out));
+    EXPECT_EQ(store.stats().hits, 0u);
 }
 
 // ---------------------------------------------------------------
@@ -326,6 +399,42 @@ TEST(SweepEngineStore, WritesThroughAndReplaysAcrossEngines)
                 << "store-replayed results must be byte-identical";
         }
     }
+}
+
+TEST(SweepEngineStore, SharedStoreKeepsKernelsApart)
+{
+    // Two kernels through one store directory, reopened between them
+    // as separate processes would, with one config in common.
+    const std::string dir = scratchDir();
+    SocConfig narrow;
+    narrow.lanes = 1;
+    SocConfig shared;
+    shared.lanes = 4;
+    const std::vector<std::pair<std::string, std::vector<SocConfig>>>
+        kernels = {{"gemm-ncubed", {narrow, shared}},
+                   {"aes-aes", {shared}}};
+    for (const auto &[name, configs] : kernels) {
+        Trace trace = makeWorkload(name)->build().trace;
+        Dddg dddg(trace);
+        ResultStore store;
+        store.open(dir);
+        SweepOptions options;
+        options.store = &store;
+        options.threads = 1;
+        SweepEngine engine(std::move(options));
+        auto points = engine.run(configs, trace, dddg);
+        EXPECT_EQ(engine.storeHits(), 0u) << name;
+        auto fresh = SweepEngine().run(configs, trace, dddg);
+        ASSERT_EQ(points.size(), fresh.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            EXPECT_EQ(resultsJson(points[i].results),
+                      resultsJson(fresh[i].results))
+                << name << " must match a fresh single-kernel run";
+        }
+    }
+    ResultStore reopened;
+    reopened.open(dir);
+    EXPECT_EQ(reopened.stats().reloaded, 3u);
 }
 
 TEST(SweepEngineStore, StopRequestedDrainsBeforeDealing)
@@ -817,6 +926,38 @@ TEST(ServeDaemon, DrainFinishesRunningWorkAndExitsZero)
     EXPECT_EQ(daemon.stop(), 0)
         << "a drain must wait for the running worker and exit 0";
     EXPECT_EQ(daemon.counters().completed, 1u);
+}
+
+TEST(ServeDaemon, OneDaemonKeepsKernelsApart)
+{
+    // Real workers sharing the daemon's one store: the second
+    // kernel's job shares its config with the first and must still
+    // get its own results, byte-equal to a fresh single-kernel run.
+    TestDaemon daemon([](ServeOptions &o) {
+        o.selfExe = GENIE_SERVE_EXE;
+    });
+    TestClient client(daemon.opts.socketPath);
+    for (const char *workload : {"gemm-ncubed", "aes-aes"}) {
+        JobDescriptor job = sampleJob();
+        job.workload = workload;
+        job.config = {"lanes=4", "partitions=4"};
+        JsonValue sub = client.transact(serveSubmitLine(job));
+        std::string id = TestClient::field(sub, "job");
+        ASSERT_FALSE(id.empty()) << workload;
+        JsonValue done = client.transact(serveJobOpLine("wait", id));
+        ASSERT_EQ(TestClient::field(done, "state"), "done")
+            << workload << ": " << TestClient::field(done, "error");
+
+        SweepEngine engine;
+        std::ostringstream fresh;
+        writeSweepResultsJson(fresh, runJob(job, engine), workload);
+        EXPECT_EQ(readTextFile(daemon.opts.stateDir + "/spool/" + id +
+                               ".out"),
+                  fresh.str())
+            << workload << " must match a fresh single-kernel run";
+    }
+    EXPECT_EQ(daemon.stop(), 0);
+    EXPECT_EQ(daemon.counters().completed, 2u);
 }
 
 } // namespace

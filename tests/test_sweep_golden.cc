@@ -8,7 +8,8 @@
  * the genie-sweep-results-1 export must not change across
  *  - thread counts (1, 4, hardware concurrency),
  *  - cold vs. warm result caches (with cache hits actually taken),
- *  - interrupted-then-resumed vs. uninterrupted runs,
+ *  - interrupted-then-resumed (through the result store) vs.
+ *    uninterrupted runs,
  * and must match the checked-in golden bytes produced by the
  * genie_sweep CLI. Regenerate a golden only for an intentional model
  * change:
@@ -27,7 +28,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "dse/journal.hh"
+#include "dse/result_store.hh"
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"
 #include "workloads/workload.hh"
@@ -198,32 +200,36 @@ TEST(SweepGolden, ByteStableColdVersusWarmCache)
 TEST(SweepGolden, ByteStableAcrossInterruptionAndResume)
 {
     auto configs = fig6Space();
-    const std::string journal =
-        ::testing::TempDir() + "genie_golden_resume.jsonl";
-    std::remove(journal.c_str());
+    const std::string dir =
+        ::testing::TempDir() + "genie_golden_resume_store";
+    std::filesystem::remove_all(dir);
 
     {
+        ResultStore store;
+        store.open(dir);
         SweepOptions interrupted;
-        interrupted.journalPath = journal;
+        interrupted.store = &store;
         interrupted.maxFreshPoints = configs.size() / 2;
         SweepEngine engine(std::move(interrupted));
         engine.run(configs, rig().built.trace, rig().dddg);
         ASSERT_TRUE(engine.interrupted());
     }
 
+    // A new engine and a reopened store, as a re-run process sees it.
+    ResultStore store;
+    store.open(dir);
     SweepOptions resume;
-    resume.journalPath = journal;
-    resume.resumePath = journal;
+    resume.store = &store;
     SweepEngine engine(std::move(resume));
     auto points = engine.run(configs, rig().built.trace, rig().dddg);
     EXPECT_FALSE(engine.interrupted());
-    EXPECT_GT(engine.progress().cached, 0u);
+    EXPECT_EQ(engine.storeHits(), configs.size() / 2);
     EXPECT_EQ(render(points),
               readFile(std::string(GENIE_GOLDEN_DIR) +
                        "/sweep_fig6_stencil2d.json"))
         << "an interrupted-then-resumed sweep must reproduce the "
            "uninterrupted bytes";
-    std::remove(journal.c_str());
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

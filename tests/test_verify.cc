@@ -324,7 +324,7 @@ TEST(LintTraceSink, MetricsSubsystemOwnsItsSinks)
 
 TEST(LintSweepDeterminism, FlagsThreadIdentityInsideDse)
 {
-    // Sweep results and journal records must be byte-identical
+    // Sweep results and store records must be byte-identical
     // across thread counts, so nothing in src/dse may observe which
     // thread or process ran a point.
     EXPECT_TRUE(hasRule(

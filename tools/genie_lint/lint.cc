@@ -173,7 +173,7 @@ const TokenRule faultRngTokens[] = {
      "distributions"},
 };
 
-// sweep-determinism: sweep results and the checkpoint journal must be
+// sweep-determinism: sweep results and the result store must be
 // byte-identical across thread counts and runs, so nothing in src/dse
 // may observe which thread or process computed a point. Wall-clock
 // reads are already banned tree-wide by the determinism rule; this
@@ -182,19 +182,19 @@ const TokenRule faultRngTokens[] = {
 const TokenRule sweepDeterminismTokens[] = {
     {"std::this_thread::get_id",
      "thread identity must not influence sweep results or the "
-     "journal; results depend only on the config"},
+     "store; results depend only on the trace and config"},
     {"std::thread::id",
      "thread identity must not influence sweep results or the "
-     "journal; results depend only on the config"},
+     "store; results depend only on the trace and config"},
     {"pthread_self(",
      "thread identity must not influence sweep results or the "
-     "journal"},
+     "store"},
     {"gettid(",
      "thread identity must not influence sweep results or the "
-     "journal"},
+     "store"},
     {"getpid(",
      "process identity must not influence sweep results or the "
-     "journal"},
+     "store"},
 };
 
 // event-alloc: the event kernel never reaches for the allocator by
@@ -442,8 +442,8 @@ lintSource(const std::string &relPath, const std::string &contents)
         }
 
         // sweep-determinism: the DSE layer may not observe thread or
-        // process identity — DesignPoint results and journal records
-        // must depend only on the config.
+        // process identity — DesignPoint results and store records
+        // must depend only on the trace and config.
         if (startsWith(relPath, "src/dse/")) {
             for (const auto &t : sweepDeterminismTokens) {
                 if (findToken(line, t.token) != std::string::npos)

@@ -32,10 +32,10 @@
  *  - sweep-determinism: src/dse may not observe thread or process
  *                     identity (`std::this_thread::get_id`,
  *                     `pthread_self`, `gettid`, `getpid`). Sweep
- *                     results and genie-sweep-1 journal records must
- *                     be byte-identical across thread counts, so
+ *                     results and genie-store-2 records must be
+ *                     byte-identical across thread counts, so
  *                     nothing scheduler-dependent may reach a
- *                     DesignPoint or the journal.
+ *                     DesignPoint or the store.
  *
  * The scan is line-based over comment- and string-stripped text: fast,
  * dependency-free, and deliberately heuristic. Grandfathered or

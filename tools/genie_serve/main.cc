@@ -15,7 +15,10 @@
  * timing out are quarantined; submissions beyond the queue bound are
  * refused with "busy". Accepted jobs are spooled durably and results
  * are written through the content-addressed ResultStore under the
- * state directory, so the daemon itself can be SIGKILLed and
+ * state directory. Every job shares that one store; its keys carry
+ * the workload's trace digest as well as the config, so jobs on
+ * different kernels never see each other's results. The daemon
+ * itself can be SIGKILLed and
  * restarted without losing accepted work — unfinished jobs re-run,
  * their completed points replay as store hits, and the output is
  * byte-identical to an uninterrupted run.

@@ -4,14 +4,12 @@
  *
  * Runs one of the paper's Figure 3 design spaces for a workload under
  * the SweepEngine — work-stealing scheduling, result-cache dedupe,
- * and a checkpoint journal so an interrupted sweep resumes where it
- * stopped:
+ * and the durable ResultStore, so an interrupted sweep resumes where
+ * it stopped:
  *
  *   genie_sweep stencil-stencil2d --space=fig6 --out=results.json
  *   genie_sweep md-knn --space=fig8 --filter="lanes=1,4" \
- *               --journal=sweep.jsonl
- *   genie_sweep md-knn --space=fig8 --filter="lanes=1,4" \
- *               --resume=sweep.jsonl --out=results.json
+ *               --store=sweep-store --out=results.json
  *
  * Spaces: single (just the base config), isolated (compute-only lanes
  * x partitions), dma (Fig. 8 DMA space, all optimizations), fig6 (DMA
@@ -22,31 +20,31 @@
  * the base config the space is enumerated around; --filter carves an
  * axis-value subset.
  *
- * --resume=FILE preloads FILE into the result cache and, unless
- * --journal names a different file, keeps appending to it, so the
- * same command line is simply re-run after an interruption. Interior
- * corrupt journal lines are skipped loudly and reported as a
- * corrupt_lines count. --max-points=N stops cleanly after N fresh
+ * --store=DIR opens the durable content-addressed ResultStore behind
+ * the in-memory cache (shared with genie_serve daemons pointed at the
+ * same directory). Every finished point is written through as it
+ * completes and keyed on the workload's trace digest plus its
+ * config, so one store serves any number of kernels and resuming an
+ * interrupted sweep is re-running the same command: finished points
+ * come back as store hits. --store-budget=BYTES bounds the store
+ * with LRU eviction. --max-points=N stops cleanly after N fresh
  * simulations (exit code 4) — the deterministic way to exercise
  * interruption in CI. SIGINT/SIGTERM request a graceful drain:
- * in-flight points finish and checkpoint, then the tool exits 5 with
- * resume instructions — ctrl-C never tears a journal.
- *
- * --store=DIR adds the durable content-addressed ResultStore as a
- * second memoization tier behind the in-memory cache (shared with
- * genie_serve daemons pointed at the same directory);
- * --store-budget=BYTES bounds it with LRU eviction.
+ * in-flight points finish and are stored, then the tool exits 5.
+ * --threads, --max-points and --store-budget take whole decimal
+ * numbers only; anything else is a usage error (exit 2).
  *
  * Results (--out, "-" = stdout) are the deterministic
  * genie-sweep-results-1 JSON in enumeration order: byte-identical
  * across thread counts and cold/warm/resumed runs. --stats-json
  * exports the engine's StatRegistry block (points done/cached/failed,
- * events, MEPS, store hits, corrupt journal lines).
+ * events, MEPS, store hits).
  */
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -88,8 +86,8 @@ usage()
         "         [--space=single|isolated|dma|fig6|cache|fig8|acp|"
         "iface]\n"
         "         [--filter=\"lanes=1,4;partitions=1,4;...\"]\n"
-        "         [--threads=N] [--journal=FILE] [--resume=FILE]\n"
-        "         [--store=DIR] [--store-budget=BYTES]\n"
+        "         [--threads=N] [--store=DIR] "
+        "[--store-budget=BYTES]\n"
         "         [--out=FILE] [--stats-json=FILE] "
         "[--max-points=N]\n"
         "         [--progress] [--pareto]\n"
@@ -98,6 +96,27 @@ usage()
         "--max-points,\n"
         "       5 drained by SIGINT/SIGTERM\n");
     return 2;
+}
+
+/** Parse @p text as a whole decimal number that fits @p max: digits
+ * only, no sign, exponent or trailing junk. */
+bool
+parseWholeNumber(const char *text, std::uint64_t max,
+                 std::uint64_t &out)
+{
+    if (*text == '\0')
+        return false;
+    std::uint64_t v = 0;
+    for (const char *p = text; *p; ++p) {
+        if (*p < '0' || *p > '9')
+            return false;
+        unsigned digit = static_cast<unsigned>(*p - '0');
+        if (v > (max - digit) / 10)
+            return false;
+        v = v * 10 + digit;
+    }
+    out = v;
+    return true;
 }
 
 } // namespace
@@ -119,6 +138,7 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        std::uint64_t number = 0;
         if (std::strcmp(arg, "--list") == 0) {
             for (const auto &name : genie::workloadNames())
                 std::printf("%s\n", name.c_str());
@@ -128,23 +148,22 @@ main(int argc, char **argv)
         } else if (std::strncmp(arg, "--filter=", 9) == 0) {
             filterSpec = arg + 9;
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            options.threads = static_cast<unsigned>(
-                std::strtoul(arg + 10, nullptr, 10));
-        } else if (std::strncmp(arg, "--journal=", 10) == 0) {
-            options.journalPath = arg + 10;
-        } else if (std::strncmp(arg, "--resume=", 9) == 0) {
-            options.resumePath = arg + 9;
+            if (!parseWholeNumber(arg + 10, UINT32_MAX, number))
+                return usage();
+            options.threads = static_cast<unsigned>(number);
         } else if (std::strncmp(arg, "--store=", 8) == 0) {
             storeDir = arg + 8;
         } else if (std::strncmp(arg, "--store-budget=", 15) == 0) {
-            storeBudget = std::strtoull(arg + 15, nullptr, 10);
+            if (!parseWholeNumber(arg + 15, UINT64_MAX, storeBudget))
+                return usage();
         } else if (std::strncmp(arg, "--out=", 6) == 0) {
             outPath = arg + 6;
         } else if (std::strncmp(arg, "--stats-json=", 13) == 0) {
             statsJsonPath = arg + 13;
         } else if (std::strncmp(arg, "--max-points=", 13) == 0) {
-            options.maxFreshPoints =
-                std::strtoul(arg + 13, nullptr, 10);
+            if (!parseWholeNumber(arg + 13, SIZE_MAX, number))
+                return usage();
+            options.maxFreshPoints = static_cast<std::size_t>(number);
         } else if (std::strcmp(arg, "--progress") == 0) {
             progress = true;
         } else if (std::strcmp(arg, "--pareto") == 0) {
@@ -160,14 +179,8 @@ main(int argc, char **argv)
     if (workload.empty())
         return usage();
 
-    // Resuming without an explicit journal keeps extending the same
-    // file, so the identical command line continues an interrupted
-    // sweep.
-    if (options.journalPath.empty() && !options.resumePath.empty())
-        options.journalPath = options.resumePath;
-
     // Graceful drain: a signal stops the deal of new points;
-    // in-flight points finish and checkpoint normally.
+    // in-flight points finish and are stored normally.
     std::signal(SIGINT, onDrainSignal);
     std::signal(SIGTERM, onDrainSignal);
     options.stopRequested = &gDrainRequested;
@@ -206,7 +219,6 @@ main(int argc, char **argv)
             options.progressIntervalNs = 33'000'000;
         }
 
-        const std::string journalPath = options.journalPath;
         SweepEngine engine(std::move(options));
         auto t0 = std::chrono::steady_clock::now();
         auto points = engine.run(configs, built.trace, dddg);
@@ -226,15 +238,6 @@ main(int argc, char **argv)
                     wallMs,
                     (unsigned long long)engine.simulatedEvents(),
                     engine.meps());
-        if (engine.journalCorruptLines() > 0) {
-            // Never let disk corruption pass silently: the affected
-            // points were re-simulated, but the operator should know
-            // the journal took damage.
-            std::printf("  resume journal: corrupt_lines=%zu "
-                        "(interior corruption; affected points "
-                        "re-simulated)\n",
-                        engine.journalCorruptLines());
-        }
         if (engine.storeHits() > 0) {
             std::printf("  store: %llu hit(s) from %s\n",
                         (unsigned long long)engine.storeHits(),
@@ -251,11 +254,15 @@ main(int argc, char **argv)
             const char *how = gDrainRequested.load()
                                   ? "drained by signal"
                                   : "interrupted";
-            std::printf("%s after %zu fresh points; resume with "
-                        "--resume=%s\n",
-                        how, final.done,
-                        journalPath.empty() ? "JOURNAL"
-                                            : journalPath.c_str());
+            if (storeDir.empty()) {
+                std::printf("%s after %zu fresh points; nothing was "
+                            "stored (no --store)\n",
+                            how, final.done);
+            } else {
+                std::printf("%s after %zu fresh points; re-run the "
+                            "same command to resume from %s\n",
+                            how, final.done, storeDir.c_str());
+            }
             return gDrainRequested.load() ? 5 : 4;
         }
 
