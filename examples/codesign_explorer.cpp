@@ -23,6 +23,7 @@
 #include "dse/pareto.hh"
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"
+#include "sim/whole_number.hh"
 #include "workloads/workload.hh"
 
 int
@@ -33,17 +34,16 @@ main(int argc, char **argv)
     std::string name = "md-knn";
     SweepOptions options;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-            options.threads = static_cast<unsigned>(
-                std::strtoul(argv[i] + 10, nullptr, 10));
-        } else if (argv[i][0] == '-') {
+        bool threads = std::strncmp(argv[i], "--threads=", 10) == 0;
+        if (threads && parseWholeNumber(argv[i] + 10, options.threads))
+            continue;
+        if (argv[i][0] == '-') {
             std::fprintf(stderr,
                          "usage: codesign_explorer [workload] "
                          "[--threads=N]\n");
             return 2;
-        } else {
-            name = argv[i];
         }
+        name = argv[i];
     }
 
     auto out = makeWorkload(name)->build();

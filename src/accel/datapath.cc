@@ -1,6 +1,7 @@
 #include "datapath.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "sim/logging.hh"
@@ -27,6 +28,13 @@ Datapath::Datapath(std::string name, EventQueue &eq, ClockDomain domain,
 {
     if (params.lanes == 0)
         fatal("datapath needs at least one lane");
+    // A zero issue width would leave its ops unissuable forever; the
+    // scan also relies on every budget but the divider's being
+    // non-zero at a lane's turn.
+    if (params.intAluPerLane == 0 || params.intMulPerLane == 0 ||
+        params.fpAddPerLane == 0 || params.fpMulPerLane == 0 ||
+        params.otherPerLane == 0 || params.memOpsPerLane == 0)
+        fatal("datapath issue widths must be at least 1 per lane");
     eq.registerStats(stats());
     fullBudget = {params.intAluPerLane, params.intMulPerLane,
                   params.fpAddPerLane,  params.fpMulPerLane,
@@ -214,8 +222,11 @@ void
 Datapath::pushReady(NodeId n)
 {
     LaneState &lane = lanes[nodes[n].lane];
-    if (lane.ready.size() - lane.head < issueScanWindow)
+    std::size_t pos = lane.ready.size() - lane.head;
+    if (pos < issueScanWindow) {
         lane.stuck = false;
+        lane.index[indexOf(nodes[n].cls)] |= std::uint64_t{1} << pos;
+    }
     lane.ready.push_back(n);
 }
 
@@ -291,26 +302,31 @@ Datapath::tick()
         scheduleTick();
 }
 
-// Inline: this runs once per examined window entry.
+// Inline: this runs once per visited window entry.
 inline Datapath::IssueResult
-Datapath::tryIssue(NodeId n, LaneState &lane, unsigned l)
+Datapath::tryIssue(NodeId n, std::uint64_t bit, LaneState &lane,
+                   unsigned l)
 {
-    const NodeInfo &info = nodes[n];
+    NodeInfo &info = nodes[n];
     // DMA-triggered compute: a load must find its line's ready bit
     // set before anything else, or the lane stalls until the DMA
     // engine fills it (Section IV-B2: the control logic stalls the
-    // whole lane).
-    if (info.cls == IssueClass::ReadyBitLoad &&
-        !feBits->isFullChunk(info.feArray, info.chunk))
-        return stallOnReadyBit(info, l);
+    // whole lane). Bits only fill, so a load that finds its bit full
+    // is a plain scratchpad access from then on.
+    if (info.cls == IssueClass::ReadyBitLoad) {
+        if (!feBits->isFullChunk(info.feArray, info.chunk))
+            return stallOnReadyBit(info, l);
+        info.cls = IssueClass::SpadAccess;
+        lane.index[readyBitIndex] &= ~bit;
+        lane.index[memSlot] |= bit;
+        if (lane.left[memSlot] == 0)
+            return IssueResult::Skip;
+    }
 
-    // Spent budgets, banks and ports turn an attempt away for one
-    // byte load each; only an attempt that may succeed leaves here.
-    if (lane.left[budgetSlot(info.cls)] == 0)
-        return IssueResult::Skip;
+    // Spent banks and ports turn an attempt away for one byte load
+    // each; only an attempt that may succeed leaves here.
     switch (info.cls) {
       case IssueClass::SpadAccess:
-      case IssueClass::ReadyBitLoad:
         if (bankSpent[info.flatBank]) {
             ++pendingConflicts;
             return IssueResult::Spent;
@@ -326,19 +342,75 @@ Datapath::tryIssue(NodeId n, LaneState &lane, unsigned l)
     }
 }
 
+// Inline: this runs once per scan that issued.
+inline void
+Datapath::compactIndex(LaneState &lane, std::uint64_t issued)
+{
+    std::vector<NodeId> &q = lane.ready;
+    const std::size_t first = lane.head;
+    if ((issued & (issued + 1)) == 0) {
+        // The oldest entries issued: drop them from the front. Two
+        // shifts keep a whole-window issue (gone == 64) defined.
+        const auto gone = static_cast<unsigned>(std::countr_one(issued));
+        lane.head += gone;
+        for (std::uint64_t &m : lane.index)
+            m = m >> (gone - 1) >> 1;
+    } else {
+        // Slide the kept entries below the last issued one up against
+        // it, so the issued ones fall into the consumed prefix, and
+        // remove the issued positions from every mask, highest first
+        // so the lower ones stay put.
+        const auto top =
+            static_cast<std::size_t>(64 - std::countl_zero(issued));
+        std::size_t dst = first + top;
+        for (std::size_t k = top; k-- > 0;) {
+            // An issued entry's copy is overwritten by the next kept
+            // one; dst never drops below the entry being read.
+            q[dst - 1] = q[first + k];
+            dst -= ~issued >> k & 1;
+        }
+        lane.head = dst;
+        for (std::uint64_t &m : lane.index) {
+            // Kernels use few classes, so most masks are empty.
+            if (m == 0)
+                continue;
+            for (std::uint64_t gone = issued; gone != 0;) {
+                const int k = 63 - std::countl_zero(gone);
+                gone ^= std::uint64_t{1} << k;
+                const std::uint64_t low = (std::uint64_t{1} << k) - 1;
+                m = (m & low) | (m >> 1 & ~low);
+            }
+        }
+    }
+
+    // Entries past the old window slide into the freed positions.
+    if (q.size() - first <= issueScanWindow)
+        return;
+    const std::size_t end =
+        std::min<std::size_t>(q.size() - lane.head, issueScanWindow);
+    for (std::size_t k = issueScanWindow - (lane.head - first); k < end;
+         ++k) {
+        lane.index[indexOf(nodes[q[lane.head + k]].cls)] |=
+            std::uint64_t{1} << k;
+    }
+}
+
 void
 Datapath::scanLane(LaneState &lane, unsigned l)
 {
     // Dataflow issue with a bounded scheduling window: hazarded ops
-    // are skipped so younger independent ops may still go. The first
-    // issueScanWindow entries are examined in FIFO order; skipped ones
-    // are packed at the window's front as the scan goes, then slid up
-    // against the unexamined rest, so the issued ones fall into the
-    // consumed prefix and the queue keeps its order.
+    // are skipped so younger independent ops may still go. The window
+    // is the first issueScanWindow entries. A scan visits, in FIFO
+    // order, only the entries whose budget slot is not yet spent and
+    // the ready-bit loads; an entry on a spent slot would be turned
+    // away with no side effect (DESIGN.md §4.2). Issued entries leave
+    // the list and the rest keep their order.
     //
     // A lane whose last scan met only spent banks and ports skips the
     // scan while they are spent again: it would count the same
-    // conflicts and change nothing else (DESIGN.md §4.2).
+    // conflicts and change nothing else.
+    if (!lane.hasReady())
+        return;
     if (lane.stuck && stillStuck(lane)) {
         pendingConflicts += lane.stuckConflicts;
         flushConflicts();
@@ -346,34 +418,41 @@ Datapath::scanLane(LaneState &lane, unsigned l)
     }
     std::vector<NodeId> &q = lane.ready;
     const std::size_t first = lane.head;
-    std::size_t keep = first;
-    std::size_t i = first;
+    const std::size_t window =
+        std::min<std::size_t>(q.size() - first, issueScanWindow);
+    // Budgets are full at a lane's turn, except a busy divider's.
+    constexpr auto div = static_cast<std::size_t>(IssueClass::FpDiv);
+    std::uint64_t visit = ~std::uint64_t{0} >> (64 - window);
+    if (lane.left[div] == 0)
+        visit &= ~lane.index[div];
+    std::uint64_t issued = 0;
     std::size_t spentEntries = 0;
-    while (i < q.size() && i - first < issueScanWindow) {
-        NodeId n = q[i++];
-        IssueResult res = tryIssue(n, lane, l);
+    while (visit != 0) {
+        const std::uint64_t bit = visit & (0 - visit);
+        visit ^= bit;
+        NodeId n = q[first + static_cast<std::size_t>(std::countr_zero(bit))];
+        IssueResult res = tryIssue(n, bit, lane, l);
         if (res == IssueResult::Issued) {
+            issued |= bit;
+            std::size_t s = budgetSlot(nodes[n].cls);
+            if (lane.left[s] == 0)
+                visit &= ~lane.index[s];
             if (lane.blocked())
                 break;
             continue;
         }
-        q[keep++] = n;
         if (res == IssueResult::StopLane)
             break; // lane-stalling condition
         spentEntries += res == IssueResult::Spent;
     }
     // With nothing issued, nothing flushed mid-scan either, so the
     // pending count is this scan's.
-    lane.stuck = spentEntries > 0 && spentEntries == i - first;
+    lane.stuck = spentEntries == window;
     if (lane.stuck)
         recordStuck(lane, spentEntries, pendingConflicts);
     flushConflicts();
-    if (keep != i) {
-        std::move_backward(q.begin() + static_cast<std::ptrdiff_t>(first),
-                           q.begin() + static_cast<std::ptrdiff_t>(keep),
-                           q.begin() + static_cast<std::ptrdiff_t>(i));
-        lane.head = first + (i - keep);
-    }
+    if (issued != 0)
+        compactIndex(lane, issued);
 
     // Reclaim the consumed prefix once it is at least half the
     // vector, so each entry is moved O(1) times amortized.

@@ -23,6 +23,7 @@
 #define GENIE_ACCEL_DATAPATH_HH
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <utility>
@@ -152,6 +153,17 @@ class Datapath : public SimObject, public Clocked
         return i < memSlot ? i : memSlot;
     }
 
+    /** The window-index mask after the budget slots': ready-bit loads
+     * not yet seen full. */
+    static constexpr std::size_t readyBitIndex = memSlot + 1;
+
+    static constexpr std::size_t
+    indexOf(IssueClass c)
+    {
+        return c == IssueClass::ReadyBitLoad ? readyBitIndex
+                                             : budgetSlot(c);
+    }
+
     /** Everything the issue and completion paths need about a node,
      * so they never reload its TraceOp. */
     struct NodeInfo
@@ -169,7 +181,8 @@ class Datapath : public SimObject, public Clocked
     };
 
     /** Number of ready-queue entries each lane may examine per cycle
-     * (the dataflow scheduling window). */
+     * (the dataflow scheduling window). One bit of a uint64_t per
+     * entry indexes it. */
     static constexpr unsigned issueScanWindow = 64;
 
     struct LaneState
@@ -177,6 +190,14 @@ class Datapath : public SimObject, public Clocked
         /** Ready nodes in FIFO order; [0, head) is consumed. */
         std::vector<NodeId> ready;
         std::size_t head = 0;
+        /**
+         * Window index. Bit k of index[s] is set when ready[head + k]
+         * issues from budget slot s, or, for s == readyBitIndex, when
+         * it is a ready-bit load whose bit has not yet been seen full.
+         * Each of the first issueScanWindow entries is in exactly one
+         * mask.
+         */
+        std::array<std::uint64_t, readyBitIndex + 1> index{};
         /** Unresolved cache work (TLB walks in progress + outstanding
          * misses). The lane stalls while this is non-zero; hits do
          * not contribute (hit-under-miss is across lanes). */
@@ -224,7 +245,7 @@ class Datapath : public SimObject, public Clocked
     enum class IssueResult : std::uint8_t
     {
         Issued,   ///< dispatched (or handed to the memory system)
-        Skip,     ///< structural hazard; younger ready ops may issue
+        Skip,     ///< spent issue budget; younger ready ops may issue
         Spent,    ///< Skip on a spent bank (counted) or cache port
         StopLane, ///< lane-stalling condition (empty ready bit)
     };
@@ -248,7 +269,14 @@ class Datapath : public SimObject, public Clocked
      * datapath and the scratchpad stats (and the trace). */
     void flushConflicts();
 
-    IssueResult tryIssue(NodeId n, LaneState &lane, unsigned l);
+    /** Drop the issued window positions @p issued from @p lane's
+     * ready list and index, and index the entries that slide into the
+     * window. */
+    void compactIndex(LaneState &lane, std::uint64_t issued);
+
+    /** Try to issue @p n, the window entry at position bit @p bit. */
+    IssueResult tryIssue(NodeId n, std::uint64_t bit, LaneState &lane,
+                         unsigned l);
     /** Issue a compute or perfect-memory op whose budget allows it. */
     void issueOp(NodeId n, LaneState &lane, unsigned l,
                  const NodeInfo &info);
@@ -272,8 +300,8 @@ class Datapath : public SimObject, public Clocked
 
     void onNodeComplete(NodeId n);
     void enqueueReady(NodeId n);
-    /** Append @p n to its lane's ready list, dropping the lane's memo
-     * if @p n lands inside the scan window. */
+    /** Append @p n to its lane's ready list. If @p n lands inside the
+     * scan window, index it and drop the lane's memo. */
     void pushReady(NodeId n);
     void advanceWave();
     void finishIfDrained();

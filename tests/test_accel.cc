@@ -753,6 +753,163 @@ TEST(DatapathWindow, TracedConflictInstantsMatchTheStat)
               tracer.instantCount(TraceCategory::Spad, "conflict"));
 }
 
+TEST(DatapathWindow, IssueFromTheLastSlotAdmitsTheNextEntry)
+{
+    // Lane 0 takes the single bank port on cycles 0 and 1. Lane 1
+    // holds 63 conflicting loads, then an IntAdd at window position
+    // 63 and another just past the window. The first issues on
+    // cycle 0; the second slides into position 63 and issues on
+    // cycle 1.
+    TraceBuilder tb;
+    int a = tb.addArray("a", 4096, 4, true, false);
+    tb.beginIteration();
+    tb.load(a, 0, 4);
+    tb.load(a, 4, 4);
+    tb.beginIteration();
+    std::vector<NodeId> loads;
+    for (unsigned k = 0; k < 63; ++k)
+        loads.push_back(tb.load(a, 4 * k, 4));
+    tb.op(Opcode::IntAdd, {});
+    NodeId outside = tb.op(Opcode::IntAdd, {});
+
+    DatapathFixture::partitions = 1;
+    DatapathFixture f(tb.take(), twoLanes());
+    DatapathFixture::partitions = 16;
+    f.dp.start([] {});
+
+    ASSERT_TRUE(f.eq.step()); // the cycle-0 tick
+    std::vector<NodeId> want = loads;
+    want.push_back(outside);
+    EXPECT_EQ(readyOf(f.dp, 1), want);
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("bankConflicts"), 1.0 + 63);
+
+    f.eq.run(accelPeriod); // through the cycle-1 tick
+    EXPECT_EQ(readyOf(f.dp, 1), loads);
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("bankConflicts"), 64.0 + 63);
+    f.eq.run();
+    EXPECT_FALSE(f.dp.running());
+}
+
+TEST(DatapathWindow, ScatteredIssuesKeepTheReadyListInFifoOrder)
+{
+    // Mostly FpDivs, which the unpipelined divider admits one per 12
+    // cycles, with IntMuls, FpAdds and FpMuls scattered among them:
+    // each cycle issues a few entries from scattered positions. A
+    // plain vector model of the window must match it cycle by cycle.
+    constexpr unsigned numOps = 150;
+    TraceBuilder tb;
+    tb.addArray("a", 64, 4, true, false);
+    tb.beginIteration();
+    std::vector<NodeId> model;
+    for (unsigned k = 0; k < numOps; ++k) {
+        Opcode op = k % 7 == 3    ? Opcode::IntMul
+                    : k % 11 == 5 ? Opcode::FpAdd
+                    : k % 13 == 8 ? Opcode::FpMul
+                                  : Opcode::FpDiv;
+        model.push_back(tb.op(op, {}));
+    }
+    Trace t = tb.take();
+    std::vector<FuKind> kindOf;
+    for (const TraceOp &op : t.ops)
+        kindOf.push_back(fuKindOf(op.op));
+
+    Datapath::Params p;
+    p.lanes = 1;
+    DatapathFixture f(std::move(t), p);
+    f.dp.start([] {});
+    Cycles divBusyUntil = 0;
+    unsigned scattered = 0;
+    for (Cycles cycle = 0; !model.empty(); ++cycle) {
+        std::array<unsigned, 6> left = {
+            p.intAluPerLane, p.intMulPerLane, p.fpAddPerLane,
+            p.fpMulPerLane,  divBusyUntil > cycle ? 0u : 1u,
+            p.otherPerLane};
+        std::vector<NodeId> kept;
+        std::vector<std::size_t> issuedAt;
+        std::size_t window = std::min<std::size_t>(model.size(), 64);
+        for (std::size_t i = 0; i < window; ++i) {
+            FuKind k = kindOf[model[i]];
+            unsigned &slot = left[static_cast<std::size_t>(k)];
+            if (slot == 0) {
+                kept.push_back(model[i]);
+                continue;
+            }
+            --slot;
+            issuedAt.push_back(i);
+            if (k == FuKind::FpDiv)
+                divBusyUntil = cycle + latencyOf(Opcode::FpDiv);
+        }
+        kept.insert(kept.end(), model.begin() + window, model.end());
+        model = std::move(kept);
+        scattered += issuedAt.size() >= 3 && issuedAt[0] > 0 &&
+                     issuedAt[1] > issuedAt[0] + 1 &&
+                     issuedAt[2] > issuedAt[1] + 1;
+
+        f.eq.run(Tick(cycle) * accelPeriod);
+        ASSERT_EQ(readyOf(f.dp, 0), model) << "cycle " << cycle;
+    }
+    EXPECT_GT(scattered, 0u) << "no cycle issued from three scattered "
+                                "positions";
+    f.eq.run();
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("nodes"), double(numOps));
+}
+
+TEST(DatapathWindow, FullReadyBitLoadOnASpentMemoryBudgetWaitsACycle)
+{
+    // Three ready-bit loads to distinct banks, their line already
+    // filled. Two take the lane's memory budget; the third finds its
+    // bit full but no budget, so it stays without stalling the lane.
+    TraceBuilder tb;
+    int a = tb.addArray("a", 4096, 4, true, false);
+    tb.beginIteration();
+    tb.load(a, 0, 4);
+    tb.load(a, 4, 4);
+    NodeId third = tb.load(a, 8, 4);
+    tb.op(Opcode::IntAdd, {});
+
+    DatapathFixture::trackReadyBits = true;
+    DatapathFixture f(tb.take());
+    DatapathFixture::trackReadyBits = false;
+    f.fe.fill(0, 0, 4096);
+
+    f.dp.start([] {});
+    ASSERT_TRUE(f.eq.step()); // the cycle-0 tick
+    EXPECT_EQ(readyOf(f.dp, 0), std::vector<NodeId>{third})
+        << "the IntAdd behind the skipped load still issues";
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("readyBitStalls"), 0.0);
+    f.eq.run(accelPeriod);
+    EXPECT_TRUE(readyOf(f.dp, 0).empty());
+    f.eq.run();
+    EXPECT_EQ(f.dp.executedCycles(), 2u);
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("readyBitStalls"), 0.0);
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("memStallCycles"), 0.0);
+}
+
+TEST(DatapathWindow, LongIntMulBacklogIssuesOnePerCycle)
+{
+    constexpr unsigned numOps = 100;
+    TraceBuilder tb;
+    tb.addArray("a", 64, 4, true, false);
+    tb.beginIteration();
+    for (unsigned k = 0; k < numOps; ++k)
+        tb.op(Opcode::IntMul, {});
+    Datapath::Params p;
+    p.lanes = 1;
+    DatapathFixture f(tb.take(), p);
+    f.dp.start([] {});
+    for (unsigned cycle = 0; cycle < numOps; ++cycle) {
+        f.eq.run(Tick(cycle) * accelPeriod);
+        ASSERT_EQ(readyOf(f.dp, 0).size(), numOps - 1 - cycle)
+            << "cycle " << cycle;
+    }
+    f.eq.run();
+    EXPECT_EQ(f.dp.executedCycles(),
+              numOps - 1 + latencyOf(Opcode::IntMul));
+    EXPECT_DOUBLE_EQ(f.dp.stats().get("bankConflicts"), 0.0);
+    EXPECT_EQ(f.dp.fuOpCounts()[static_cast<std::size_t>(FuKind::IntMul)],
+              numOps);
+}
+
 TEST(DatapathBatch, LatenciesMeetingOnOneEdgeRetireInIssueOrder)
 {
     // n0 (FpAdd, 3 cycles) issues at cycle 0; n2 (IntMul, 2 cycles)

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "core/fingerprint.hh"
+#include "dse/job.hh"
 #include "dse/journal.hh"
 #include "dse/pareto.hh"
 #include "dse/result_store.hh"
@@ -682,6 +683,115 @@ TEST(SpaceFilter, CacheAxesOnlyConstrainCacheConfigs)
         EXPECT_EQ(c.cache.lineBytes, 64u);
         EXPECT_EQ(c.cache.ports, 1u);
         EXPECT_EQ(c.cache.assoc, 4u);
+    }
+}
+
+TEST(SpaceFilter, MemTypeAxisSelectsInterfaceRegimes)
+{
+    // The iface space holds all three regimes under both completion
+    // modes: per mode, the DMA and ACP lanes x partitions grids and
+    // one cache design per lane count.
+    SocConfig base;
+    const auto space = DesignSpace::iface(base);
+    const std::size_t grid = DesignSpace::laneValues().size() *
+                             DesignSpace::partitionValues().size();
+    const std::size_t perLane = DesignSpace::laneValues().size();
+
+    auto acp = filterConfigs(space, SpaceFilter::parse("mem_type=acp"));
+    EXPECT_EQ(acp.size(), 2 * grid);
+    for (const auto &c : acp)
+        EXPECT_TRUE(c.iface.anyAcp());
+
+    auto noAcp =
+        filterConfigs(space, SpaceFilter::parse("mem_type=dma,cache"));
+    EXPECT_EQ(noAcp.size(), space.size() - acp.size());
+    for (const auto &c : noAcp)
+        EXPECT_FALSE(c.iface.anyAcp());
+
+    auto cached =
+        filterConfigs(space, SpaceFilter::parse("mem_type=cache"));
+    EXPECT_EQ(cached.size(), 2 * perLane);
+    for (const auto &c : cached)
+        EXPECT_EQ(c.memType, MemInterface::Cache);
+
+    EXPECT_THROW(SpaceFilter::parse("mem_type=dram"), FatalError);
+    EXPECT_THROW(SpaceFilter::parse("mem_type=dma,"), FatalError);
+}
+
+TEST(SpaceFilter, CompletionAxisSelectsNotificationModes)
+{
+    SocConfig base;
+    const auto space = DesignSpace::iface(base);
+    auto spin = filterConfigs(space, SpaceFilter::parse("completion=spin"));
+    auto intr =
+        filterConfigs(space, SpaceFilter::parse("completion=interrupt"));
+    EXPECT_EQ(spin.size(), space.size() / 2);
+    EXPECT_EQ(intr.size(), space.size() / 2);
+    for (const auto &c : spin)
+        EXPECT_EQ(c.iface.completion, CompletionMode::Spin);
+    for (const auto &c : intr)
+        EXPECT_EQ(c.iface.completion, CompletionMode::Interrupt);
+
+    // Axes combine: interrupt-completed ACP designs at one lane count.
+    auto both = filterConfigs(
+        space,
+        SpaceFilter::parse("completion=interrupt;mem_type=acp;lanes=4"));
+    EXPECT_EQ(both.size(), DesignSpace::partitionValues().size());
+    EXPECT_EQ(filterConfigs(space, SpaceFilter::parse(
+                                       "completion=spin,interrupt"))
+                  .size(),
+              space.size());
+    EXPECT_THROW(SpaceFilter::parse("completion=poll"), FatalError);
+    EXPECT_THROW(SpaceFilter::parse("completion"), FatalError);
+}
+
+TEST(SweepJob, EnumeratesEveryNamedSpace)
+{
+    SocConfig base;
+    const auto dma = DesignSpace::dma(base);
+    const auto cache = DesignSpace::cache(base);
+    EXPECT_EQ(enumerateSpace("single", base).size(), 1u);
+    EXPECT_EQ(enumerateSpace("isolated", base).size(),
+              DesignSpace::isolated(base).size());
+    EXPECT_EQ(enumerateSpace("dma", base).size(), dma.size());
+    EXPECT_EQ(enumerateSpace("fig6", base).size(),
+              DesignSpace::dmaOptions(base).size());
+    EXPECT_EQ(enumerateSpace("dma-options", base).size(),
+              DesignSpace::dmaOptions(base).size());
+    EXPECT_EQ(enumerateSpace("cache", base).size(), cache.size());
+    EXPECT_EQ(enumerateSpace("fig8", base).size(),
+              dma.size() + cache.size());
+    EXPECT_EQ(enumerateSpace("acp", base).size(),
+              DesignSpace::acp(base).size());
+    EXPECT_EQ(enumerateSpace("iface", base).size(),
+              DesignSpace::iface(base).size());
+    EXPECT_THROW(enumerateSpace("fig9", base), FatalError);
+}
+
+TEST(SweepJob, ConfigsApplyBaseOptionsAndFilter)
+{
+    JobDescriptor job;
+    job.workload = "aes-aes";
+    job.space = "dma";
+    job.filter = "lanes=4";
+    job.config = {"bus=64"};
+    EXPECT_EQ(describeJob(job), "aes-aes space=dma filter=lanes=4 bus=64");
+    auto configs = jobConfigs(job);
+    EXPECT_EQ(configs.size(), DesignSpace::partitionValues().size());
+    for (const auto &c : configs) {
+        EXPECT_EQ(c.lanes, 4u);
+        EXPECT_EQ(c.busWidthBits, 64u);
+    }
+
+    // A filter that rejects everything names the job in its error.
+    job.filter = "lanes=3";
+    try {
+        jobConfigs(job);
+        FAIL() << "an empty job must be an error";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("aes-aes space=dma"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -14,6 +14,7 @@
 #include "core/report.hh"
 #include "core/validation.hh"
 #include "sim/logging.hh"
+#include "sim/whole_number.hh"
 #include "workloads/workload.hh"
 
 namespace genie
@@ -452,6 +453,31 @@ TEST_F(ReportFixture, StatsDumpCoversComponents)
     EXPECT_NE(s.find("system.dma."), std::string::npos);
     EXPECT_NE(s.find("accel.datapath."), std::string::npos);
     EXPECT_NE(s.find("accel.spad."), std::string::npos);
+}
+
+TEST(WholeNumber, AcceptsDigitsUpToTheTypeMaximum)
+{
+    unsigned u = 7;
+    EXPECT_TRUE(parseWholeNumber("0", u));
+    EXPECT_EQ(u, 0u);
+    EXPECT_TRUE(parseWholeNumber("4294967295", u));
+    EXPECT_EQ(u, 4294967295u);
+    std::uint64_t big = 0;
+    EXPECT_TRUE(parseWholeNumber("18446744073709551615", big));
+    EXPECT_EQ(big, UINT64_MAX);
+}
+
+TEST(WholeNumber, RejectsJunkAndLeavesTheValueAlone)
+{
+    for (const char *junk : {"", "abc", "5s", "1e6", "-1", "+3", " 4",
+                             "4 ", "0x10", "4294967296"}) {
+        unsigned u = 7;
+        EXPECT_FALSE(parseWholeNumber(junk, u)) << "'" << junk << "'";
+        EXPECT_EQ(u, 7u) << "'" << junk << "'";
+    }
+    std::uint64_t big = 7;
+    EXPECT_FALSE(parseWholeNumber("18446744073709551616", big));
+    EXPECT_EQ(big, 7u);
 }
 
 } // namespace

@@ -38,6 +38,7 @@
 #include "dse/sweep_engine.hh"
 #include "scope/report.hh"
 #include "scope/span_dag.hh"
+#include "sim/whole_number.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -147,10 +148,11 @@ main(int argc, char **argv)
         } else if (std::strncmp(arg, "--filter=", 9) == 0) {
             filterSpec = arg + 9;
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            threads = static_cast<unsigned>(
-                std::strtoul(arg + 10, nullptr, 10));
+            if (!parseWholeNumber(arg + 10, threads))
+                return usage();
         } else if (std::strncmp(arg, "--blame-points=", 15) == 0) {
-            blamePoints = std::strtoul(arg + 15, nullptr, 10);
+            if (!parseWholeNumber(arg + 15, blamePoints))
+                return usage();
         } else if (std::strncmp(arg, "--out=", 6) == 0) {
             outPath = arg + 6;
         } else if (arg[0] == '-') {

@@ -26,6 +26,9 @@
  * SIGTERM/SIGINT drain gracefully: running jobs finish (or
  * checkpoint), then the daemon exits 0.
  *
+ * Numeric flags take whole decimal numbers only, and --workers and
+ * --max-queue must be at least 1; anything else is a usage error.
+ *
  * exit: 0 clean drain, 1 startup/runtime error, 2 usage.
  */
 
@@ -39,6 +42,7 @@
 #include "serve/server.hh"
 #include "serve/worker.hh"
 #include "sim/logging.hh"
+#include "sim/whole_number.hh"
 
 namespace
 {
@@ -113,27 +117,33 @@ main(int argc, char **argv)
         } else if (std::strncmp(arg, "--store=", 8) == 0) {
             workerArgs.storeDir = arg + 8;
         } else if (std::strncmp(arg, "--store-budget=", 15) == 0) {
-            workerArgs.storeBudgetBytes =
-                std::strtoull(arg + 15, nullptr, 10);
+            if (!parseWholeNumber(arg + 15, workerArgs.storeBudgetBytes))
+                return usage();
             opts.storeBudgetBytes = workerArgs.storeBudgetBytes;
         } else if (std::strncmp(arg, "--socket=", 9) == 0) {
             opts.socketPath = arg + 9;
         } else if (std::strncmp(arg, "--state=", 8) == 0) {
             opts.stateDir = arg + 8;
         } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-            opts.workers = static_cast<unsigned>(
-                std::strtoul(arg + 10, nullptr, 10));
+            if (!parseWholeNumber(arg + 10, opts.workers) ||
+                opts.workers == 0)
+                return usage();
         } else if (std::strncmp(arg, "--max-queue=", 12) == 0) {
-            opts.maxQueue = std::strtoul(arg + 12, nullptr, 10);
+            if (!parseWholeNumber(arg + 12, opts.maxQueue) ||
+                opts.maxQueue == 0)
+                return usage();
         } else if (std::strncmp(arg, "--max-attempts=", 15) == 0) {
-            opts.maxAttempts = static_cast<unsigned>(
-                std::strtoul(arg + 15, nullptr, 10));
+            if (!parseWholeNumber(arg + 15, opts.maxAttempts))
+                return usage();
         } else if (std::strncmp(arg, "--timeout-ms=", 13) == 0) {
-            opts.timeoutMs = std::strtoull(arg + 13, nullptr, 10);
+            if (!parseWholeNumber(arg + 13, opts.timeoutMs))
+                return usage();
         } else if (std::strncmp(arg, "--term-grace-ms=", 16) == 0) {
-            opts.termGraceMs = std::strtoull(arg + 16, nullptr, 10);
+            if (!parseWholeNumber(arg + 16, opts.termGraceMs))
+                return usage();
         } else if (std::strncmp(arg, "--backoff-ms=", 13) == 0) {
-            opts.backoffMs = std::strtoull(arg + 13, nullptr, 10);
+            if (!parseWholeNumber(arg + 13, opts.backoffMs))
+                return usage();
         } else if (std::strncmp(arg, "--worker-command=", 17) == 0) {
             opts.workerCommand = arg + 17;
         } else {
@@ -153,8 +163,6 @@ main(int argc, char **argv)
 
     if (opts.socketPath.empty() || opts.stateDir.empty())
         return usage();
-    if (opts.workers == 0)
-        opts.workers = 1;
     opts.selfExe = selfExePath(argv[0]);
     opts.drainFlag = &gStopRequested;
 

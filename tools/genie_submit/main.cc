@@ -32,6 +32,7 @@
 
 #include "scope/json.hh"
 #include "serve/protocol.hh"
+#include "sim/whole_number.hh"
 
 namespace
 {
@@ -286,8 +287,8 @@ main(int argc, char **argv)
         } else if (std::strncmp(arg, "--filter=", 9) == 0) {
             job.filter = arg + 9;
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            job.threads = static_cast<unsigned>(
-                std::strtoul(arg + 10, nullptr, 10));
+            if (!parseWholeNumber(arg + 10, job.threads))
+                return usage();
         } else if (std::strcmp(arg, "--wait") == 0) {
             wait = true;
         } else if (std::strncmp(arg, "--out=", 6) == 0) {

@@ -60,6 +60,7 @@
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"
 #include "metrics/export.hh"
+#include "sim/whole_number.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -98,27 +99,6 @@ usage()
     return 2;
 }
 
-/** Parse @p text as a whole decimal number that fits @p max: digits
- * only, no sign, exponent or trailing junk. */
-bool
-parseWholeNumber(const char *text, std::uint64_t max,
-                 std::uint64_t &out)
-{
-    if (*text == '\0')
-        return false;
-    std::uint64_t v = 0;
-    for (const char *p = text; *p; ++p) {
-        if (*p < '0' || *p > '9')
-            return false;
-        unsigned digit = static_cast<unsigned>(*p - '0');
-        if (v > (max - digit) / 10)
-            return false;
-        v = v * 10 + digit;
-    }
-    out = v;
-    return true;
-}
-
 } // namespace
 
 int
@@ -138,7 +118,6 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        std::uint64_t number = 0;
         if (std::strcmp(arg, "--list") == 0) {
             for (const auto &name : genie::workloadNames())
                 std::printf("%s\n", name.c_str());
@@ -148,22 +127,20 @@ main(int argc, char **argv)
         } else if (std::strncmp(arg, "--filter=", 9) == 0) {
             filterSpec = arg + 9;
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            if (!parseWholeNumber(arg + 10, UINT32_MAX, number))
+            if (!parseWholeNumber(arg + 10, options.threads))
                 return usage();
-            options.threads = static_cast<unsigned>(number);
         } else if (std::strncmp(arg, "--store=", 8) == 0) {
             storeDir = arg + 8;
         } else if (std::strncmp(arg, "--store-budget=", 15) == 0) {
-            if (!parseWholeNumber(arg + 15, UINT64_MAX, storeBudget))
+            if (!parseWholeNumber(arg + 15, storeBudget))
                 return usage();
         } else if (std::strncmp(arg, "--out=", 6) == 0) {
             outPath = arg + 6;
         } else if (std::strncmp(arg, "--stats-json=", 13) == 0) {
             statsJsonPath = arg + 13;
         } else if (std::strncmp(arg, "--max-points=", 13) == 0) {
-            if (!parseWholeNumber(arg + 13, SIZE_MAX, number))
+            if (!parseWholeNumber(arg + 13, options.maxFreshPoints))
                 return usage();
-            options.maxFreshPoints = static_cast<std::size_t>(number);
         } else if (std::strcmp(arg, "--progress") == 0) {
             progress = true;
         } else if (std::strcmp(arg, "--pareto") == 0) {
