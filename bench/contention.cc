@@ -14,7 +14,7 @@
 
 #include "bench_util.hh"
 
-#include "core/multi_soc.hh"
+#include "core/soc.hh"
 
 namespace genie::bench
 {
@@ -48,7 +48,7 @@ victimFinish(const Prep &victim, const SocConfig &victimDesign,
         hogDesign.dma.triggeredCompute = true;
         specs.push_back(makeSpec(hog, hogDesign));
     }
-    MultiSoc soc(platform, std::move(specs));
+    Soc soc(platform, std::move(specs));
     return soc.run().accelerators[0].finishTick;
 }
 

@@ -1,8 +1,10 @@
 #include "config_parse.hh"
 
 #include <cstdlib>
+#include <limits>
 
 #include "sim/logging.hh"
+#include "sim/whole_number.hh"
 
 namespace genie
 {
@@ -21,26 +23,21 @@ parseBool(const std::string &key, const std::string &value)
           value.c_str());
 }
 
-unsigned
+/** @p value as a whole decimal number that fits T; anything else —
+ * a sign, junk, an empty string, or a value past T's range — is fatal
+ * rather than silently truncated. */
+template <std::unsigned_integral T = unsigned>
+T
 parseUnsigned(const std::string &key, const std::string &value)
 {
-    char *end = nullptr;
-    unsigned long v = std::strtoul(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        fatal("option %s: expected a number, got '%s'", key.c_str(),
+    T v = 0;
+    if (!parseWholeNumber(value.c_str(), v))
+        fatal("option %s: expected a whole number from 0 to %s, got "
+              "'%s'",
+              key.c_str(),
+              std::to_string(std::numeric_limits<T>::max()).c_str(),
               value.c_str());
-    return static_cast<unsigned>(v);
-}
-
-std::uint64_t
-parseU64(const std::string &key, const std::string &value)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        fatal("option %s: expected a number, got '%s'", key.c_str(),
-              value.c_str());
-    return static_cast<std::uint64_t>(v);
+    return v;
 }
 
 double
@@ -135,7 +132,8 @@ applyConfigOption(SocConfig &config, const std::string &option)
     } else if (key == "invocations") {
         config.iface.invocations = parseUnsigned(key, value);
     } else if (key == "irq_latency_ns") {
-        config.iface.irqLatency = parseU64(key, value) * tickPerNs;
+        config.iface.irqLatency =
+            parseUnsigned<std::uint64_t>(key, value) * tickPerNs;
     } else if (key == "lanes") {
         config.lanes = parseUnsigned(key, value);
     } else if (key == "partitions") {
@@ -192,7 +190,7 @@ applyConfigOption(SocConfig &config, const std::string &option)
     } else if (key == "samples_csv") {
         config.metrics.samplesCsvPath = value;
     } else if (key == "fault_seed") {
-        config.faults.seed = parseU64(key, value);
+        config.faults.seed = parseUnsigned<std::uint64_t>(key, value);
     } else if (key == "fault_dram_read") {
         config.faults.rates[static_cast<unsigned>(
             FaultSite::DramRead)] = parseRate(key, value);
@@ -216,7 +214,8 @@ applyConfigOption(SocConfig &config, const std::string &option)
     } else if (key == "fault_backoff") {
         config.faults.backoffCycles = parseUnsigned(key, value);
     } else if (key == "watchdog_interval") {
-        config.faults.watchdogCycles = parseU64(key, value);
+        config.faults.watchdogCycles =
+            parseUnsigned<std::uint64_t>(key, value);
     } else {
         fatal("unknown option '%s'", key.c_str());
     }

@@ -9,11 +9,44 @@
 #define GENIE_CORE_RESULTS_HH
 
 #include <cstdint>
+#include <vector>
 
+#include "core/soc_config.hh"
 #include "sim/types.hh"
 
 namespace genie
 {
+
+class Dddg;
+class Trace;
+
+/**
+ * One accelerator's workload and design inside a Soc. The trace and
+ * DDDG must outlive the Soc. @p design supplies the accelerator's own
+ * knobs: memory interface, lanes, partitions, DMA pipelining and
+ * triggering, page size, ACP window, cache, TLB, dirty-input CPU L1,
+ * per-array mem_type, command queue depth, invocations and perfect
+ * memory.
+ * Everything shared — bus, clocks, CPU line and L1 size, flush and
+ * DMA-engine costs, completion mode, isolation, tracing, metrics and
+ * faults — comes from the Soc's platform config.
+ */
+struct AcceleratorSpec
+{
+    const Trace *trace = nullptr;
+    const Dddg *dddg = nullptr;
+    SocConfig design;
+};
+
+/** One accelerator's outcome inside a Soc. */
+struct AcceleratorResult
+{
+    /** Offload start (t=0) to the driver returning from the wait that
+     * saw this accelerator's last completion. */
+    Tick finishTick = 0;
+    /** This accelerator's datapath cycles (last invocation). */
+    Cycles accelCycles = 0;
+};
 
 /** The paper's runtime classification (Figures 2b, 5, 6). */
 struct RuntimeBreakdown
@@ -31,7 +64,13 @@ struct RuntimeBreakdown
     }
 };
 
-/** Everything measured in one run. */
+/**
+ * Everything measured in one run. With several accelerators, times,
+ * bus and DRAM figures describe the whole system; energy, byte,
+ * conflict, stall, SRAM, bandwidth, lane and cycle figures sum over
+ * the accelerators; the miss and hit rates pool every accelerator's
+ * cache and TLB.
+ */
 struct SocResults
 {
     /** End-to-end offload latency (flush start to CPU noticing the
@@ -72,6 +111,9 @@ struct SocResults
     std::uint64_t localSramBytes = 0;
     double localMemBandwidthBytesPerCycle = 0.0;
     unsigned lanes = 0;
+
+    /** Per-accelerator outcomes, in AcceleratorSpec order. */
+    std::vector<AcceleratorResult> accelerators;
 
     double totalSeconds() const { return static_cast<double>(totalTicks) * 1e-12; }
     double totalUs() const { return static_cast<double>(totalTicks) * 1e-6; }

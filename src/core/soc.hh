@@ -4,12 +4,20 @@
  * primary contribution module.
  *
  * A Soc instance assembles one complete simulated system for one
- * design point — driver CPU, flush engine, DMA engine, system bus,
- * DRAM controller, and an Aladdin-style accelerator with either a
- * partitioned-scratchpad/DMA memory interface or a coherent cache +
- * TLB — then executes the full software offload flow over a workload
- * trace and reports runtime, the flush/DMA/compute breakdown, energy,
- * power, and EDP.
+ * design point — a platform of driver CPU, flush engine, DMA engine,
+ * system bus and DRAM controller, plus one or more Aladdin-style
+ * accelerators, each with either a partitioned-scratchpad/DMA memory
+ * interface or a coherent cache + TLB — then executes the full
+ * software offload flow over each accelerator's workload trace and
+ * reports runtime, the flush/DMA/compute breakdown, energy, power,
+ * and EDP.
+ *
+ * The paper's example SoC (Figure 3) carries two accelerators on one
+ * bus, and Section IV-A names shared-resource contention as a design
+ * consideration. Several accelerators share the platform — the bus,
+ * DRAM, DMA engine and the CPU's flushes serialize — and each runs
+ * the same flow it runs alone, so contention is measured by the same
+ * model as every other figure.
  *
  * Each Soc owns a private EventQueue, so arbitrarily many design
  * points can be simulated concurrently on different threads.
@@ -48,11 +56,21 @@ class Soc
 {
   public:
     /**
-     * Build a system for @p config around @p trace/@p dddg. The trace
-     * and DDDG must outlive the Soc (they are shared across many
-     * design points in sweeps).
+     * Build a one-accelerator system for @p config around
+     * @p trace/@p dddg. The trace and DDDG must outlive the Soc (they
+     * are shared across many design points in sweeps).
      */
     Soc(SocConfig config, const Trace &trace, const Dddg &dddg);
+
+    /**
+     * Build @p platform with one accelerator per @p specs entry.
+     * Accelerator i owns DRAM slice 0x40000000 + i * 0x10000000 and
+     * ioctl command i. With one spec every component name matches the
+     * three-argument constructor; with more, accelerator i's
+     * components are named "accel<i>.datapath", "accel<i>.iface.acp",
+     * "accel<i>.cpu.l1d" and so on. isolated=1 allows one spec only.
+     */
+    Soc(SocConfig platform, std::vector<AcceleratorSpec> specs);
     ~Soc();
 
     Soc(const Soc &) = delete;
@@ -65,21 +83,20 @@ class Soc
     EventQueue &eventQueue() { return eventq; }
     SystemBus &bus() { return *systemBus; }
     DramCtrl &dram() { return *dramCtrl; }
-    Datapath &datapath() { return *accel; }
-    Cache *accelCache() { return cacheMem.get(); }
-    Cache *cpuCache() { return cpuL1.get(); }
-    AladdinTlb *tlb() { return accelTlb.get(); }
-    Scratchpad *scratchpad() { return spad.get(); }
     DmaEngine &dmaEngine() { return *dma; }
     FlushEngine &flushEngine() { return *flush; }
     DriverCpu &cpu() { return *driver; }
-
-    /** The coherency port, or null unless an array selects ACP. */
-    AcpPort *acpPort() { return acp.get(); }
     /** The interrupt line, or null under spin completion. */
     InterruptLine *interruptLine() { return irqLine.get(); }
-    /** The command queue, or null when queue_depth is zero. */
-    CommandQueue *commandQueue() { return cmdQueue.get(); }
+
+    /** Accelerator @p i's datapath. */
+    Datapath &datapath(std::size_t i = 0);
+    /** Accelerator @p i's coherency port, or null unless one of its
+     * arrays selects ACP. */
+    AcpPort *acpPort(std::size_t i = 0);
+    /** Accelerator @p i's command queue, or null when its
+     * queue_depth is zero. */
+    CommandQueue *commandQueue(std::size_t i = 0);
 
     /** The event tracer, or null when cfg.tracing.enabled is false. */
     Tracer *tracer() { return eventTracer.get(); }
@@ -109,33 +126,45 @@ class Soc
     Watchdog *watchdog() { return progressWatchdog.get(); }
     const Watchdog *watchdog() const { return progressWatchdog.get(); }
 
+    /** The platform config. The three-argument constructor also uses
+     * it as its one accelerator's design. */
     const SocConfig &config() const { return cfg; }
 
   private:
-    class AccelDevice;
+    struct Accelerator;
 
-    void build();
-    void buildScratchpadSide();
-    void buildCacheSide();
-
-    /** Start flush + input DMA/ACP (called from the driver program). */
-    void beginInputPhase();
-    void onInputPhaseDone();
-
-    /** ioctl target: run the datapath per the configured flow. */
-    void startAccelerator(std::function<void()> onFinish);
-    void onDatapathDone();
-
-    /** Launch one datapath invocation (queue drains re-enter here). */
-    void launchInvocation();
-
-    /** Drain output data (DMA and/or ACP), then complete the run. */
-    void beginOutputPhase();
+    void build(std::vector<AcceleratorSpec> specs);
+    void buildAccelerator(Accelerator &a);
+    void buildScratchpadSide(Accelerator &a);
+    void buildCacheSide(Accelerator &a);
 
     /** Resolve per-array regimes, build the ACP plan, and (when any
      * array selects ACP) construct the port plus a dirty CPU L1 for
      * it to snoop. */
-    void buildAcpSide();
+    void buildAcpSide(Accelerator &a);
+
+    /** A dirty CPU L1 holding @p a's input data, named for @p a. */
+    void buildCpuL1(Accelerator &a);
+
+    /** Start flush + input DMA/ACP (called from the driver program). */
+    void beginInputPhase(Accelerator &a);
+    void onInputPhaseDone(Accelerator &a);
+
+    /** ioctl target: run the datapath per the configured flow. */
+    void startAccelerator(Accelerator &a, std::function<void()> onFinish);
+    void onDatapathDone(Accelerator &a);
+
+    /** Launch one datapath invocation (queue drains re-enter here). */
+    void launchInvocation(Accelerator &a);
+
+    /** Drain output data (DMA and/or ACP), then complete the run. */
+    void beginOutputPhase(Accelerator &a);
+
+    /** Device completion: route it to the driver (flag or interrupt). */
+    void onDeviceDone(Accelerator &a);
+
+    /** The driver program that offloads to every accelerator. */
+    std::vector<DriverOp> driverProgram();
 
     /** Write the Chrome JSON sink if an output path is configured. */
     void writeTraceOutput();
@@ -148,9 +177,14 @@ class Soc
     void computeEnergy(SocResults &r) const;
     RuntimeBreakdown computeBreakdown(Tick endTick) const;
 
+    /** Latency of moving @p bytes line-by-line through the cache. */
+    Tick lineCopyLatency(const Accelerator &a,
+                         std::uint64_t bytes) const;
+
+    /** Register progress sources + diagnostics on the watchdog. */
+    void wireWatchdog();
+
     SocConfig cfg;
-    const Trace &trace;
-    const Dddg &dddg;
 
     EventQueue eventq;
 
@@ -170,9 +204,6 @@ class Soc
     std::unique_ptr<FaultInjector> injector;
     std::unique_ptr<Watchdog> progressWatchdog;
 
-    /** Register progress sources + diagnostics on the watchdog. */
-    void wireWatchdog();
-
     // Platform components.
     std::unique_ptr<SystemBus> systemBus;
     std::unique_ptr<DramCtrl> dramCtrl;
@@ -180,69 +211,19 @@ class Soc
     std::unique_ptr<DmaEngine> dma;
     std::unique_ptr<IoctlRegistry> ioctlRegistry;
     std::unique_ptr<DriverCpu> driver;
-    std::unique_ptr<AccelDevice> device;
-
-    // SoC interface (Genie-Iface). Each component is constructed
-    // only when its knob is non-default, so a baseline run carries
-    // no iface object and stays byte-identical to a pre-iface build.
-    std::unique_ptr<AcpPort> acp;
+    // Genie-Iface completion: constructed only under interrupt
+    // completion, so a baseline run carries no iface object.
     std::unique_ptr<InterruptLine> irqLine;
-    std::unique_ptr<CommandQueue> cmdQueue;
 
-    // Accelerator-local memory system.
-    std::unique_ptr<Scratchpad> spad;
-    std::unique_ptr<FullEmptyBits> feBits;
-    std::unique_ptr<Cache> cacheMem;
-    std::unique_ptr<Cache> cpuL1;
-    std::unique_ptr<AladdinTlb> accelTlb;
-    std::unique_ptr<Datapath> accel;
+    std::vector<std::unique_ptr<Accelerator>> accels;
 
-    // Address layout.
-    std::vector<Addr> arrayDramBase; ///< DMA-side physical homes
-    std::vector<Addr> arrayVBase;    ///< cache-side virtual bases
-    std::vector<int> spadIds;        ///< trace array -> spad array
-    std::vector<int> feIds;          ///< trace array -> ready-bit array
+    // Device completions the driver has not yet returned from a wait
+    // for, oldest first (the driver consumes them in order).
+    std::vector<Accelerator *> unobserved;
+    std::size_t observed = 0;
 
-    // Pipelined-DMA page plan.
-    std::vector<DmaEngine::Segment> inputPages;
-    std::size_t pagesDone = 0;
-
-    // Per-array regime plan (scratchpad side): which arrays move
-    // over the ACP instead of the flush+DMA path, and the byte
-    // totals of each partition. All-DMA defaults leave the ACP
-    // vectors empty and the dma totals equal to the trace totals.
-    std::vector<bool> arrayUsesAcp;
-    std::vector<AcpPort::Segment> acpInputSegs;
-    std::vector<AcpPort::Segment> acpOutputSegs;
-    std::uint64_t dmaInBytes = 0;
-    std::uint64_t dmaOutBytes = 0;
-    std::uint64_t acpInBytes = 0;
-    std::uint64_t acpOutBytes = 0;
-
-    // Cache-mode transfer of register-promoted shared arrays: pulled
-    // through the cache before compute, pushed back after.
-    std::uint64_t cacheWarmupBytes = 0;
-    std::uint64_t cacheDrainBytes = 0;
-
-    /** Latency of moving @p bytes line-by-line through the cache. */
-    Tick lineCopyLatency(std::uint64_t bytes) const;
-
-    // Flow state.
-    std::vector<std::size_t> inputOrder;
-    bool inputDone = false;
-    bool accelStartRequested = false;
-    bool outputInvalidated = false;
-    std::function<void()> pendingOutputDma;
-    std::function<void()> pendingFinish;
     bool ran = false;
     Tick flowEndTick = 0;
-
-    // Multi-invocation flow (Genie-Iface): completed datapath runs
-    // this flow, and input/output partitions still in flight when
-    // DMA- and ACP-moved arrays drain concurrently.
-    unsigned invocationsDone = 0;
-    unsigned inputPartsPending = 0;
-    unsigned outputPartsPending = 0;
 };
 
 /** One-call convenience API: build, run, and tear down a design. */

@@ -35,8 +35,8 @@ namespace genie
  * behavior deep in a run — zero beat sizes (divide-by-zero in the DMA
  * pump loop), non-power-of-two line sizes (broken set indexing), a
  * zero-size outstanding window (the engine could never issue a
- * beat), out-of-range fault rates, and the like. Called by Soc and
- * MultiSoc on every design point they build.
+ * beat), out-of-range fault rates, and the like. Called by Soc on its
+ * platform config and on every accelerator's design.
  */
 void validateSocConfig(const SocConfig &cfg);
 

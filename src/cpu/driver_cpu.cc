@@ -26,9 +26,9 @@ DriverCpu::run(std::vector<DriverOp> prog, std::function<void()> done)
     onDone = std::move(done);
     pc = 0;
     running = true;
-    flagSet = false;
+    flagCount = 0;
     waitingOnFlag = false;
-    intrPending = false;
+    intrCount = 0;
     waitingOnIntr = false;
     eventq.scheduleFlowRawIn(0, [](void *c, std::uint64_t) {
         static_cast<DriverCpu *>(c)->step();
@@ -44,34 +44,42 @@ DriverCpu::setCompletionSink(std::function<void()> sink)
 void
 DriverCpu::signalFlag()
 {
-    flagSet = true;
+    ++flagCount;
     if (waitingOnFlag) {
         waitingOnFlag = false;
         statSpinTicks += static_cast<double>(
             eventq.curTick() - spinStart + params.spinNoticeLatency);
-        // The flag was consumed by the pending SpinWait.
-        flagSet = false;
-        eventq.scheduleFlowRawIn(params.spinNoticeLatency,
-                                 [](void *c, std::uint64_t) {
-            static_cast<DriverCpu *>(c)->step();
-        }, this, 0, "cpu.step");
+        // The pending SpinWait consumes one completion.
+        --flagCount;
+        resumeAfterWait(params.spinNoticeLatency);
     }
 }
 
 void
 DriverCpu::raiseInterrupt()
 {
-    intrPending = true;
+    ++intrCount;
     if (waitingOnIntr) {
         waitingOnIntr = false;
-        // The interrupt was consumed by the pending IntrWait. The
-        // wakeup latency was already charged by the InterruptLine,
-        // and a sleeping CPU burns no spin ticks.
-        intrPending = false;
-        eventq.scheduleFlowRawIn(0, [](void *c, std::uint64_t) {
-        static_cast<DriverCpu *>(c)->step();
-    }, this, 0, "cpu.step");
+        // The pending IntrWait consumes one interrupt. The wakeup
+        // latency was already charged by the InterruptLine, and a
+        // sleeping CPU burns no spin ticks.
+        --intrCount;
+        resumeAfterWait(0);
     }
+}
+
+void
+DriverCpu::resumeAfterWait(Tick delay)
+{
+    eventq.scheduleFlowRawIn(delay, [](void *c, std::uint64_t) {
+        auto *self = static_cast<DriverCpu *>(c);
+        // pc still points past the wait that just returned.
+        const DriverOp &wait = self->program[self->pc - 1];
+        if (wait.callback)
+            wait.callback();
+        self->step();
+    }, this, 0, "cpu.step");
 }
 
 void
@@ -125,22 +133,18 @@ DriverCpu::step()
         break;
       }
       case DriverOp::Kind::SpinWait:
-        if (flagSet) {
-            flagSet = false;
-            eventq.scheduleFlowRawIn(0, [](void *c, std::uint64_t) {
-                static_cast<DriverCpu *>(c)->step();
-            }, this, 0, "cpu.step");
+        if (flagCount > 0) {
+            --flagCount;
+            resumeAfterWait(0);
         } else {
             spinStart = eventq.curTick();
             waitingOnFlag = true;
         }
         break;
       case DriverOp::Kind::IntrWait:
-        if (intrPending) {
-            intrPending = false;
-            eventq.scheduleFlowRawIn(0, [](void *c, std::uint64_t) {
-                static_cast<DriverCpu *>(c)->step();
-            }, this, 0, "cpu.step");
+        if (intrCount > 0) {
+            --intrCount;
+            resumeAfterWait(0);
         } else {
             waitingOnIntr = true;
         }

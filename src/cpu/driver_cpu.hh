@@ -50,9 +50,11 @@ struct DriverOp
         Compute,
         /** ioctl(aladdinFd, command): start an accelerator. */
         Ioctl,
-        /** Spin until the accelerator's completion flag is seen. */
+        /** Spin until one device completion is seen on the flag;
+         * @p callback (if set) runs when the wait returns. */
         SpinWait,
-        /** Sleep until an interrupt is delivered (no spin time). */
+        /** Sleep until one interrupt is delivered (no spin time);
+         * @p callback (if set) runs when the wait returns. */
         IntrWait,
         /** Full memory fence (drains; modeled as fixed latency). */
         Mfence,
@@ -90,7 +92,9 @@ class DriverCpu : public SimObject, public Clocked
 
     /**
      * The accelerator-side completion signal: writing the shared flag.
-     * A pending SpinWait completes spinNoticeLatency later.
+     * A pending SpinWait completes spinNoticeLatency later. The flag
+     * counts completions, so each SpinWait consumes exactly one and
+     * completions from several devices are never merged.
      */
     void signalFlag();
 
@@ -98,6 +102,7 @@ class DriverCpu : public SimObject, public Clocked
      * Interrupt delivery (called by the InterruptLine handler): a
      * pending IntrWait completes immediately — the delivery latency
      * was already paid on the line — and no spin time is charged.
+     * Undelivered interrupts are counted like flag completions.
      */
     void raiseInterrupt();
 
@@ -113,6 +118,8 @@ class DriverCpu : public SimObject, public Clocked
 
   private:
     void step();
+    /** Return from the wait at program[pc - 1] @p delay from now. */
+    void resumeAfterWait(Tick delay);
 
     Params params;
     FlushEngine &flushEngine;
@@ -121,9 +128,9 @@ class DriverCpu : public SimObject, public Clocked
     std::vector<DriverOp> program;
     std::size_t pc = 0;
     bool running = false;
-    bool flagSet = false;
+    unsigned flagCount = 0;
     bool waitingOnFlag = false;
-    bool intrPending = false;
+    unsigned intrCount = 0;
     bool waitingOnIntr = false;
     Tick spinStart = 0;
     std::function<void()> onDone;

@@ -8,6 +8,8 @@
 #include <fcntl.h>
 #include <filesystem>
 #include <fstream>
+#include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #include <vector>
 
@@ -40,6 +42,20 @@ constexpr std::array<std::uint32_t, 256> crcTable = makeCrcTable();
 
 const char *recordSuffix = ".rec";
 const char *tmpSuffix = ".tmp";
+
+/** Remove the staging file @p file unless its writer still holds
+ * the lock it takes for the whole write; a staging file nobody holds
+ * is debris from a writer that died before its rename. */
+void
+sweepStagingFile(const fs::path &file)
+{
+    int fd = ::open(file.c_str(), O_RDONLY);
+    if (fd < 0)
+        return;
+    if (::flock(fd, LOCK_EX | LOCK_NB) == 0)
+        ::unlink(file.c_str());
+    ::close(fd);
+}
 
 std::string
 storeHeaderLine(std::uint32_t crc)
@@ -124,13 +140,29 @@ syncDirectory(const std::string &dir)
 bool
 writeFileDurably(const std::string &path, const std::string &contents)
 {
-    const std::string tmp = path + tmpSuffix;
-    int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) {
-        warn("result store: cannot create %s: %s", tmp.c_str(),
-             std::strerror(errno));
-        return false;
+    // Each write stages under its own "<path>.XXXXXX.tmp" name and
+    // holds an flock on it until the rename, so concurrent writers —
+    // threads or processes — never share a staging file and open()
+    // never sweeps a live one. A sweep that won the race unlinked the
+    // file before this writer locked it; then start over.
+    std::string tmp;
+    int fd = -1;
+    for (;;) {
+        tmp = path + ".XXXXXX" + tmpSuffix;
+        fd = ::mkstemps(tmp.data(), static_cast<int>(
+                                        std::strlen(tmpSuffix)));
+        if (fd < 0) {
+            warn("result store: cannot create %s: %s", tmp.c_str(),
+                 std::strerror(errno));
+            return false;
+        }
+        struct stat st{};
+        if (::flock(fd, LOCK_EX) != 0 || ::fstat(fd, &st) != 0 ||
+            st.st_nlink > 0)
+            break;
+        ::close(fd);
     }
+    ::fchmod(fd, 0644);
     std::size_t off = 0;
     while (off < contents.size()) {
         ssize_t n = ::write(fd, contents.data() + off,
@@ -151,14 +183,14 @@ writeFileDurably(const std::string &path, const std::string &contents)
     // kill -9 can only ever lose records still in their .tmp phase.
     if (::fsync(fd) != 0)
         warn("result store: fsync %s failed", tmp.c_str());
-    ::close(fd);
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    bool renamed = std::rename(tmp.c_str(), path.c_str()) == 0;
+    if (!renamed) {
         warn("result store: rename %s -> %s failed: %s", tmp.c_str(),
              path.c_str(), std::strerror(errno));
         ::unlink(tmp.c_str());
-        return false;
     }
-    return true;
+    ::close(fd);
+    return renamed;
 }
 
 std::uint32_t
@@ -194,7 +226,8 @@ ResultStore::open(const std::string &dir, std::uint64_t maxBytes)
     _bytes = 0;
 
     // Scan: collect well-formed records oldest-first so the LRU order
-    // survives a reopen; sweep killed writers' .tmp debris; move
+    // survives a reopen; sweep dead writers' .tmp debris (a live
+    // writer, possibly another process, still holds its lock); move
     // anything corrupt out of the way.
     struct Found
     {
@@ -210,7 +243,7 @@ ResultStore::open(const std::string &dir, std::uint64_t maxBytes)
         std::string name = entry.path().filename().string();
         if (name.size() > 4 &&
             name.compare(name.size() - 4, 4, tmpSuffix) == 0) {
-            fs::remove(entry.path(), ec);
+            sweepStagingFile(entry.path());
             continue;
         }
         if (name.size() <= 4 ||

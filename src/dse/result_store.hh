@@ -24,10 +24,13 @@
  *    results round-trip bit-exactly. Records of any other schema
  *    (genie-store-1 keyed on the config alone) are quarantined like
  *    corrupt ones, so they can only ever miss.
- *  - Writes are atomic: the record is written to a `.tmp` sibling,
- *    fsync'd, then renamed into place. A `kill -9` at any instant
- *    leaves either the old state or the new record, never a torn
- *    visible record; stale `.tmp` debris is swept on open.
+ *  - Writes are atomic: the record is written to a
+ *    `<record>.XXXXXX.tmp` sibling private to that write and locked
+ *    (flock) by its writer, fsync'd, then renamed into place. A
+ *    `kill -9` at any instant leaves either the old state or the new
+ *    record, never a torn visible record. open() sweeps `.tmp`
+ *    debris nobody holds locked and leaves a live writer's staging
+ *    file alone, even one in another process.
  *  - Every read re-verifies the CRC and the result key. A corrupt
  *    record — torn, truncated, bit-flipped, or semantically
  *    mismatched — is *quarantined* (moved to `quarantine/` for
@@ -65,8 +68,9 @@ namespace genie
 std::uint32_t crc32Ieee(const void *data, std::size_t size);
 
 /**
- * Write @p contents to @p path atomically and durably: a `.tmp`
- * sibling is written, fsync'd, and renamed into place, so readers
+ * Write @p contents to @p path atomically and durably: a
+ * `<path>.XXXXXX.tmp` sibling private to this write is locked,
+ * written, fsync'd, and renamed into place, so readers
  * see either the old file or the complete new one — never a torn
  * write. Returns false (after a warn) on IO failure; never throws.
  * Shared by the store's records, the daemon's job spool, and the
@@ -101,7 +105,7 @@ class ResultStore
      * optional byte budget (@p maxBytes, 0 = unbounded). Scans the
      * directory: well-formed records are indexed oldest-first (so
      * reopen preserves LRU order), corrupt records are quarantined,
-     * and stale `.tmp` debris from killed writers is removed.
+     * and `.tmp` debris no live writer holds locked is removed.
      * fatal() only when the directory itself cannot be created.
      */
     void open(const std::string &dir, std::uint64_t maxBytes = 0);

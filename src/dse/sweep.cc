@@ -1,10 +1,11 @@
 #include "sweep.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 
 #include "dse/sweep_engine.hh"
 #include "sim/logging.hh"
+#include "sim/whole_number.hh"
 
 namespace genie
 {
@@ -278,13 +279,14 @@ parseAxisValues(const std::string &axis, const std::string &csv)
         std::string item = csv.substr(
             start, comma == std::string::npos ? std::string::npos
                                               : comma - start);
-        char *end = nullptr;
-        unsigned long v = std::strtoul(item.c_str(), &end, 10);
-        if (end == item.c_str() || *end != '\0') {
-            fatal("filter axis %s: expected a number, got '%s'",
-                  axis.c_str(), item.c_str());
+        unsigned v = 0;
+        if (!parseWholeNumber(item.c_str(), v)) {
+            fatal("filter axis %s: expected a whole number from 0 to "
+                  "%u, got '%s'",
+                  axis.c_str(), std::numeric_limits<unsigned>::max(),
+                  item.c_str());
         }
-        values.push_back(static_cast<unsigned>(v));
+        values.push_back(v);
         if (comma == std::string::npos)
             break;
         start = comma + 1;

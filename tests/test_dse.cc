@@ -667,6 +667,18 @@ TEST(SpaceFilter, ParsesAxesAndRejectsGarbage)
     EXPECT_THROW(SpaceFilter::parse("lanes=abc"), FatalError);
 }
 
+TEST(SpaceFilter, RejectsNumbersOutsideTheAxisRange)
+{
+    // Axis values are 32-bit: 2^32 + 1 must not wrap to 1, and -1
+    // must not become 4294967295.
+    for (const char *bad : {"lanes=4294967297", "lanes=-1", "lanes=5x",
+                            "lanes=", "lanes=1,", "cache_kb=+2"}) {
+        EXPECT_THROW(SpaceFilter::parse(bad), FatalError) << bad;
+    }
+    EXPECT_EQ(SpaceFilter::parse("lanes=4294967295").lanes,
+              (std::vector<unsigned>{4294967295u}));
+}
+
 TEST(SpaceFilter, CacheAxesOnlyConstrainCacheConfigs)
 {
     SocConfig base;

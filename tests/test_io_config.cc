@@ -220,6 +220,24 @@ TEST(ConfigParse, RejectsMalformedInput)
     EXPECT_THROW(applyConfigOption(c, "nonsense=1"), FatalError);
 }
 
+TEST(ConfigParse, RejectsNumbersOutsideTheFieldRange)
+{
+    // lanes is 32-bit and fault_seed 64-bit: a value past the field's
+    // range, a sign, trailing junk or nothing at all must be a loud
+    // error, never a truncated or wrapped-around value.
+    SocConfig c;
+    for (const char *bad :
+         {"lanes=4294967297", "lanes=-1", "lanes=5x", "lanes=",
+          "fault_seed=18446744073709551617", "fault_seed=-1",
+          "fault_seed=5x", "fault_seed="}) {
+        EXPECT_THROW(applyConfigOption(c, bad), FatalError) << bad;
+    }
+    applyConfigOption(c, "lanes=4294967295");
+    EXPECT_EQ(c.lanes, 4294967295u);
+    applyConfigOption(c, "fault_seed=18446744073709551615");
+    EXPECT_EQ(c.faults.seed, 18446744073709551615ull);
+}
+
 TEST(ConfigParse, OptionsRoundTrip)
 {
     SocConfig original = parseConfig(

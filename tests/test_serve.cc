@@ -26,6 +26,7 @@
 #include <string>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 
@@ -437,6 +438,10 @@ TEST(ResultStore, FailedWritesAreDroppedNotFatal)
     fs::create_directories(recordFileOf(dir, "blocked") + "/x");
     store.insert("blocked", sampleResults(1.0));
     EXPECT_FALSE(fs::exists(recordFileOf(dir, "blocked") + ".tmp"));
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        EXPECT_NE(entry.path().extension(), ".tmp")
+            << "failed write left its staging file " << entry.path();
+    }
 
     // The temporary file cannot be created: the directory is gone.
     fs::remove_all(dir);
@@ -447,6 +452,63 @@ TEST(ResultStore, FailedWritesAreDroppedNotFatal)
     SocResults out;
     EXPECT_FALSE(store.lookup("blocked", out));
     EXPECT_FALSE(store.lookup("homeless", out));
+}
+
+TEST(ResultStore, ConcurrentProcessesAndReopensLoseNoInserts)
+{
+    // Two processes insert overlapping key ranges into one store
+    // while a third keeps reopening it. A reopen sweeps only staging
+    // files no live writer holds, so every insert must land and
+    // nothing may be quarantined.
+    const std::string dir = scratchDir();
+    constexpr int perWriter = 60;
+    constexpr int overlap = 30;
+    auto keyOf = [](int k) { return format("key%03d", k); };
+
+    pid_t writers[2];
+    for (int w = 0; w < 2; ++w) {
+        writers[w] = ::fork();
+        ASSERT_GE(writers[w], 0);
+        if (writers[w] == 0) {
+            ResultStore store;
+            store.open(dir);
+            const int first = w * (perWriter - overlap);
+            for (int k = first; k < first + perWriter; ++k)
+                store.insert(keyOf(k), sampleResults(k));
+            ::_exit(store.stats().inserts == perWriter ? 0 : 1);
+        }
+    }
+    int reopens = 0;
+    for (int live = 2; live > 0;) {
+        ResultStore third;
+        third.open(dir);
+        EXPECT_EQ(third.stats().corrupt, 0u);
+        ++reopens;
+        live = 0;
+        for (pid_t pid : writers)
+            live += ::waitpid(pid, nullptr, WNOHANG) == 0 ? 1 : 0;
+    }
+    for (pid_t pid : writers) {
+        int status = 0;
+        ::waitpid(pid, &status, 0);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "a writer lost inserts";
+    }
+    EXPECT_GT(reopens, 0);
+
+    ResultStore store;
+    store.open(dir);
+    const int keys = 2 * perWriter - overlap;
+    EXPECT_EQ(store.stats().reloaded, static_cast<std::uint64_t>(keys));
+    EXPECT_EQ(store.stats().corrupt, 0u);
+    EXPECT_FALSE(fs::exists(dir + "/" + ResultStore::quarantineSubdir()));
+    for (int k = 0; k < keys; ++k) {
+        SocResults out;
+        ASSERT_TRUE(store.lookup(keyOf(k), out)) << keyOf(k);
+        EXPECT_EQ(resultsJson(out), resultsJson(sampleResults(k)));
+    }
+    for (const auto &entry : fs::directory_iterator(dir))
+        EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
 }
 
 // ---------------------------------------------------------------

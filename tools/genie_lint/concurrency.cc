@@ -311,8 +311,7 @@ checkEventAffinity(const DeclIndex &index, std::vector<Finding> &out)
                             continue;
                         for (std::size_t k = fn.tokenBegin; k < i;
                              ++k) {
-                            if (toks[k].text == "Soc" ||
-                                toks[k].text == "MultiSoc") {
+                            if (toks[k].text == "Soc") {
                                 setupPhase = true;
                                 break;
                             }
