@@ -40,6 +40,22 @@ parseUnsigned(const std::string &key, const std::string &value)
     return v;
 }
 
+/** @p value, parsed as parseUnsigned<T>, times @p scale. A value
+ * whose product would not fit T is fatal, naming the key and the
+ * value, instead of wrapping around to a small number. */
+template <std::unsigned_integral T>
+T
+parseScaled(const std::string &key, const std::string &value, T scale)
+{
+    const T v = parseUnsigned<T>(key, value);
+    if (v > std::numeric_limits<T>::max() / scale)
+        fatal("option %s: %s is too large (at most %s)", key.c_str(),
+              value.c_str(),
+              std::to_string(std::numeric_limits<T>::max() / scale)
+                  .c_str());
+    return v * scale;
+}
+
 double
 parseRate(const std::string &key, const std::string &value)
 {
@@ -132,8 +148,7 @@ applyConfigOption(SocConfig &config, const std::string &option)
     } else if (key == "invocations") {
         config.iface.invocations = parseUnsigned(key, value);
     } else if (key == "irq_latency_ns") {
-        config.iface.irqLatency =
-            parseUnsigned<std::uint64_t>(key, value) * tickPerNs;
+        config.iface.irqLatency = parseScaled(key, value, tickPerNs);
     } else if (key == "lanes") {
         config.lanes = parseUnsigned(key, value);
     } else if (key == "partitions") {
@@ -145,7 +160,7 @@ applyConfigOption(SocConfig &config, const std::string &option)
     } else if (key == "triggered") {
         config.dma.triggeredCompute = parseBool(key, value);
     } else if (key == "cache_kb") {
-        config.cache.sizeBytes = parseUnsigned(key, value) * 1024;
+        config.cache.sizeBytes = parseScaled(key, value, 1024u);
     } else if (key == "cache_line") {
         config.cache.lineBytes = parseUnsigned(key, value);
     } else if (key == "cache_assoc") {

@@ -12,9 +12,9 @@
  * A config alone does not name a result: the same config on another
  * kernel simulates another trace. resultKey() therefore prefixes the
  * canonical key with traceDigest(), and that full string is the
- * identity every result tier (ResultCache, ResultStore, and through
- * it genie_serve) keys on. Hashes of it (fnv1a64) only ever index or
- * name things; a collision degrades to a miss, never a false hit.
+ * identity both result tiers (ResultCache and ResultStore) key on.
+ * Hashes of it (fnv1a64) only ever index or name things; a collision
+ * degrades to a miss, never a false hit.
  * configFingerprint() is the FNV-1a hash of the canonical key alone,
  * printed in the results export; test_properties.cc proves it
  * injective over every enumerated Figure 3 space.

@@ -13,10 +13,7 @@ ResultCache::lookup(const std::string &key, SocResults &out)
         return false;
     }
     ++_hits;
-    lru.erase(it->second.lruPos);
-    lru.push_back(key);
-    it->second.lruPos = std::prev(lru.end());
-    out = it->second.results;
+    out = it->second;
     return true;
 }
 
@@ -24,17 +21,7 @@ void
 ResultCache::insert(const std::string &key, const SocResults &results)
 {
     std::lock_guard<std::mutex> lock(mutex);
-    if (entries.count(key))
-        return; // first writer wins
-    if (_maxEntries != 0 && entries.size() >= _maxEntries) {
-        auto victim = entries.find(lru.front());
-        lru.pop_front();
-        if (victim != entries.end())
-            entries.erase(victim);
-        ++_evictions;
-    }
-    lru.push_back(key);
-    entries.emplace(key, Entry{results, std::prev(lru.end())});
+    entries.emplace(key, results); // first writer wins
 }
 
 std::size_t
@@ -56,13 +43,6 @@ ResultCache::misses() const
 {
     std::lock_guard<std::mutex> lock(mutex);
     return _misses;
-}
-
-std::uint64_t
-ResultCache::evictions() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return _evictions;
 }
 
 } // namespace genie

@@ -135,8 +135,11 @@ syncDirectory(const std::string &dir)
     }
 }
 
-} // namespace
-
+/**
+ * Write @p contents to @p path atomically and durably: readers see
+ * either the old file or the complete new one, never a torn write.
+ * Returns false (after a warn) on IO failure; never throws.
+ */
 bool
 writeFileDurably(const std::string &path, const std::string &contents)
 {
@@ -192,6 +195,8 @@ writeFileDurably(const std::string &path, const std::string &contents)
     ::close(fd);
     return renamed;
 }
+
+} // namespace
 
 std::uint32_t
 crc32Ieee(const void *data, std::size_t size)

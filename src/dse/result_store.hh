@@ -6,7 +6,7 @@
  *
  * The in-memory ResultCache memoizes points for the lifetime of one
  * process; the ResultStore is its on-disk big sibling, shared across
- * processes, daemon restarts, and days. Re-running an interrupted
+ * processes, restarts, and days. Re-running an interrupted
  * sweep against the same store replays every finished point as a
  * hit. Records are addressed by result key: the full
  * `trace=<digest> <canonical config>` string of resultKey()
@@ -63,21 +63,9 @@ namespace genie
 {
 
 /** CRC-32 (IEEE 802.3 polynomial, the zlib/PNG convention) of
- * @p size bytes at @p data. Exposed so tests can corrupt records
- * deliberately and so the worker protocol can checksum payloads. */
+ * @p size bytes at @p data. Exposed so tests can check it against
+ * the standard vectors and corrupt records deliberately. */
 std::uint32_t crc32Ieee(const void *data, std::size_t size);
-
-/**
- * Write @p contents to @p path atomically and durably: a
- * `<path>.XXXXXX.tmp` sibling private to this write is locked,
- * written, fsync'd, and renamed into place, so readers
- * see either the old file or the complete new one — never a torn
- * write. Returns false (after a warn) on IO failure; never throws.
- * Shared by the store's records, the daemon's job spool, and the
- * worker's result files.
- */
-bool writeFileDurably(const std::string &path,
-                      const std::string &contents);
 
 /** Counters describing everything the store has done since open().
  * All monotonic except records/bytes, which track current content. */

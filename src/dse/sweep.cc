@@ -361,6 +361,35 @@ SpaceFilter::parse(const std::string &spec)
 }
 
 std::vector<SocConfig>
+enumerateSpace(const std::string &space, const SocConfig &base)
+{
+    if (space == "single")
+        return {base};
+    if (space == "isolated")
+        return DesignSpace::isolated(base);
+    if (space == "dma")
+        return DesignSpace::dma(base);
+    if (space == "fig6" || space == "dma-options")
+        return DesignSpace::dmaOptions(base);
+    if (space == "cache")
+        return DesignSpace::cache(base);
+    if (space == "fig8") {
+        auto configs = DesignSpace::dma(base);
+        auto cacheConfigs = DesignSpace::cache(base);
+        configs.insert(configs.end(), cacheConfigs.begin(),
+                       cacheConfigs.end());
+        return configs;
+    }
+    if (space == "acp")
+        return DesignSpace::acp(base);
+    if (space == "iface")
+        return DesignSpace::iface(base);
+    fatal("unknown space '%s' "
+          "(single|isolated|dma|fig6|cache|fig8|acp|iface)",
+          space.c_str());
+}
+
+std::vector<SocConfig>
 filterConfigs(const std::vector<SocConfig> &configs,
               const SpaceFilter &filter)
 {

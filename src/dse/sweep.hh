@@ -15,6 +15,7 @@
 #ifndef GENIE_DSE_SWEEP_HH
 #define GENIE_DSE_SWEEP_HH
 
+#include <string>
 #include <vector>
 
 #include "core/soc.hh"
@@ -79,6 +80,15 @@ class DesignSpace
     static SocConfig isolatedAsCache(const SocConfig &isolated,
                                      std::uint64_t workingSetBytes);
 };
+
+/**
+ * Enumerate the design space named @p space around @p base: the
+ * Figure 3 families (isolated, dma, fig6 alias dma-options, cache,
+ * fig8 = dma then cache, acp, iface) plus "single", exactly the base
+ * point. fatal() on unknown names.
+ */
+std::vector<SocConfig> enumerateSpace(const std::string &space,
+                                      const SocConfig &base);
 
 /**
  * An axis-value subset of a design space, used to carve small,

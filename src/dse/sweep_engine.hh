@@ -147,8 +147,8 @@ struct SweepOptions GENIE_SHARED_OK(written before run starts and
      * miss the engine consults the store (a store hit counts as
      * cached and is promoted into the cache), and every fresh
      * simulation is written through, so completed points survive the
-     * process — the genie_serve crash-tolerance contract and the
-     * way an interrupted sweep resumes. The store must be open;
+     * process: an interrupted sweep resumes from them, and several
+     * processes on one store share them. The store must be open;
      * null = no persistence.
      */
     ResultStore *store = nullptr;

@@ -54,8 +54,7 @@
  * src/metrics — the types both SweepEngine workers and the main
  * thread can touch). New shared state therefore cannot land without
  * declaring its synchronization story; that annotated map is the
- * contract the parallel event kernel (ROADMAP item 1) and the
- * genie_serve daemon (item 2) build against.
+ * contract any further concurrency in the simulator builds against.
  */
 
 #ifndef GENIE_SIM_THREAD_SAFETY_HH

@@ -12,8 +12,8 @@
 #include <functional>
 #include <sstream>
 
+#include "core/config_parse.hh"
 #include "core/fingerprint.hh"
-#include "dse/job.hh"
 #include "dse/journal.hh"
 #include "dse/pareto.hh"
 #include "dse/result_store.hh"
@@ -553,22 +553,6 @@ TEST(SweepEngine, ConfigCostPrefersCacheAndNarrowDatapaths)
         << "fewer lanes mean more simulated compute cycles";
 }
 
-TEST(ResultCache, BoundedCacheEvictsLeastRecentlyUsed)
-{
-    ResultCache cache(2);
-    SocResults r;
-    cache.insert("a", r);
-    cache.insert("b", r);
-    SocResults out;
-    ASSERT_TRUE(cache.lookup("a", out)); // refresh: "b" is now LRU
-    cache.insert("c", r);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_FALSE(cache.lookup("b", out))
-        << "the least recently used entry is the victim";
-    EXPECT_TRUE(cache.lookup("a", out));
-    EXPECT_TRUE(cache.lookup("c", out));
-}
-
 TEST(ResultCache, DefaultIsUnbounded)
 {
     ResultCache cache;
@@ -576,7 +560,9 @@ TEST(ResultCache, DefaultIsUnbounded)
     for (int i = 0; i < 1000; ++i)
         cache.insert(std::to_string(i), r);
     EXPECT_EQ(cache.size(), 1000u);
-    EXPECT_EQ(cache.evictions(), 0u);
+    SocResults out;
+    EXPECT_TRUE(cache.lookup("0", out))
+        << "the first entry is never evicted";
 }
 
 // ---------------------------------------------------------------------
@@ -782,29 +768,20 @@ TEST(SweepJob, EnumeratesEveryNamedSpace)
 
 TEST(SweepJob, ConfigsApplyBaseOptionsAndFilter)
 {
-    JobDescriptor job;
-    job.workload = "aes-aes";
-    job.space = "dma";
-    job.filter = "lanes=4";
-    job.config = {"bus=64"};
-    EXPECT_EQ(describeJob(job), "aes-aes space=dma filter=lanes=4 bus=64");
-    auto configs = jobConfigs(job);
+    // What genie_sweep does with "aes-aes bus=64 --space=dma
+    // --filter=lanes=4": parse the base, enumerate around it, filter.
+    auto configs = filterConfigs(
+        enumerateSpace("dma", parseConfig({"bus=64"})),
+        SpaceFilter::parse("lanes=4"));
     EXPECT_EQ(configs.size(), DesignSpace::partitionValues().size());
     for (const auto &c : configs) {
         EXPECT_EQ(c.lanes, 4u);
         EXPECT_EQ(c.busWidthBits, 64u);
     }
-
-    // A filter that rejects everything names the job in its error.
-    job.filter = "lanes=3";
-    try {
-        jobConfigs(job);
-        FAIL() << "an empty job must be an error";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("aes-aes space=dma"),
-                  std::string::npos)
-            << e.what();
-    }
+    EXPECT_TRUE(filterConfigs(enumerateSpace("dma", SocConfig{}),
+                              SpaceFilter::parse("lanes=3"))
+                    .empty())
+        << "lanes=3 is on no axis of the DMA space";
 }
 
 } // namespace

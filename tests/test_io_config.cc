@@ -238,6 +238,36 @@ TEST(ConfigParse, RejectsNumbersOutsideTheFieldRange)
     EXPECT_EQ(c.faults.seed, 18446744073709551615ull);
 }
 
+TEST(ConfigParse, RejectsScaledValuesThatOverflowTheField)
+{
+    // cache_kb is stored in 32-bit bytes and irq_latency_ns in 64-bit
+    // ticks: a value whose scaled form does not fit must be an error
+    // naming the key and the value, never a wrapped-around product
+    // (cache_kb=4194305 used to run as cache_kb=1).
+    SocConfig c;
+    for (const char *bad :
+         {"cache_kb=4194305", "cache_kb=4194304",
+          "irq_latency_ns=18446744073709552",
+          "irq_latency_ns=18446744073709551615"}) {
+        try {
+            applyConfigOption(c, bad);
+            ADD_FAILURE() << bad << " must be rejected";
+        } catch (const FatalError &e) {
+            const std::string option = bad;
+            const std::string what = e.what();
+            const auto eq = option.find('=');
+            EXPECT_NE(what.find(option.substr(0, eq)), std::string::npos)
+                << what;
+            EXPECT_NE(what.find(option.substr(eq + 1)), std::string::npos)
+                << what;
+        }
+    }
+    applyConfigOption(c, "cache_kb=4194303");
+    EXPECT_EQ(c.cache.sizeBytes, 4194303u * 1024u);
+    applyConfigOption(c, "irq_latency_ns=18446744073709551");
+    EXPECT_EQ(c.iface.irqLatency, 18446744073709551000ull);
+}
+
 TEST(ConfigParse, OptionsRoundTrip)
 {
     SocConfig original = parseConfig(

@@ -54,40 +54,14 @@ usage()
         "usage: genie_report <workload> [key=value ...] "
         "[--out=FILE]\n"
         "       genie_report <workload> --sweep "
-        "[--space=isolated|dma|fig6|cache|fig8|acp|iface]\n"
+        "[--space=single|isolated|dma|fig6|cache|fig8|acp|"
+        "iface]\n"
         "                    [--filter=SPEC] [--threads=N] "
         "[--blame-points=N]\n"
         "                    [key=value ...] [--out=FILE]\n"
         "       genie_report --list\n"
         "exit:  0 ok, 1 error, 2 usage\n");
     return 2;
-}
-
-std::vector<SocConfig>
-enumerateSpace(const std::string &space, const SocConfig &base)
-{
-    if (space == "isolated")
-        return DesignSpace::isolated(base);
-    if (space == "dma")
-        return DesignSpace::dma(base);
-    if (space == "fig6" || space == "dma-options")
-        return DesignSpace::dmaOptions(base);
-    if (space == "cache")
-        return DesignSpace::cache(base);
-    if (space == "fig8") {
-        auto configs = DesignSpace::dma(base);
-        auto cacheConfigs = DesignSpace::cache(base);
-        configs.insert(configs.end(), cacheConfigs.begin(),
-                       cacheConfigs.end());
-        return configs;
-    }
-    if (space == "acp")
-        return DesignSpace::acp(base);
-    if (space == "iface")
-        return DesignSpace::iface(base);
-    fatal("unknown space '%s' "
-          "(isolated|dma|fig6|cache|fig8|acp|iface)",
-          space.c_str());
 }
 
 /** Re-simulate @p config traced (in-memory) and blame the run. */

@@ -21,13 +21,14 @@
  * axis-value subset.
  *
  * --store=DIR opens the durable content-addressed ResultStore behind
- * the in-memory cache (shared with genie_serve daemons pointed at the
- * same directory). Every finished point is written through as it
+ * the in-memory cache. Every finished point is written through as it
  * completes and keyed on the workload's trace digest plus its
- * config, so one store serves any number of kernels and resuming an
- * interrupted sweep is re-running the same command: finished points
- * come back as store hits. --store-budget=BYTES bounds the store
- * with LRU eviction. --max-points=N stops cleanly after N fresh
+ * config, so one store serves any number of kernels, several
+ * genie_sweep processes can share it at once (each write is atomic
+ * and locked), and resuming an interrupted sweep is re-running the
+ * same command: finished points come back as store hits.
+ * --store-budget=BYTES bounds the store with LRU eviction.
+ * --max-points=N stops cleanly after N fresh
  * simulations (exit code 4) — the deterministic way to exercise
  * interruption in CI. SIGINT/SIGTERM request a graceful drain:
  * in-flight points finish and are stored, then the tool exits 5.
@@ -53,7 +54,6 @@
 #include <vector>
 
 #include "core/config_parse.hh"
-#include "dse/job.hh"
 #include "dse/journal.hh"
 #include "dse/pareto.hh"
 #include "dse/result_store.hh"
