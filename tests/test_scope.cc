@@ -3,7 +3,7 @@
  * Genie-Scope tests: the span-DAG/critical-path analysis library and
  * the cross-run tooling it feeds.
  *
- * Four layers:
+ * Five layers:
  *  - the JSON reader in isolation (shape, lexeme preservation,
  *    position-annotated errors);
  *  - glob rules and tolerance-aware diffing (genie_diff semantics:
@@ -15,7 +15,13 @@
  *    simulated result byte;
  *  - blame determinism: byte-identical reports across repeated runs
  *    and across runs executed on different host threads, and the
- *    >= 95% coverage bar on the paper's Fig. 5 stencil design point.
+ *    >= 95% coverage bar on the paper's Fig. 5 stencil design point;
+ *  - the blame golden: tests/golden/blame.txt pins, by hash and byte
+ *    length, the run report and every BlameReport field of the six
+ *    paper design points, and the sweep report of CI's reduced Fig. 6
+ *    stencil2d space. A mismatch prints the fresh lines; replace the
+ *    golden's lines with them only for an intentional change to what
+ *    blame reports, never for a change to how it is computed.
  */
 
 #include <gtest/gtest.h>
@@ -26,8 +32,11 @@
 #include <vector>
 
 #include "accel/dddg.hh"
+#include "core/config_parse.hh"
 #include "core/report.hh"
 #include "core/soc.hh"
+#include "dse/sweep.hh"
+#include "golden_lines.hh"
 #include "scope/diff.hh"
 #include "scope/json.hh"
 #include "scope/report.hh"
@@ -401,6 +410,104 @@ TEST(ScopeBlame, SpeedupFormattingAndTopCategory)
     blame.byCategory.push_back({"bus", 30, 40, 10, 1.0, 1});
     // Strictly-greater wins; ties keep the earlier (enum) entry.
     EXPECT_EQ(topBlameCategory(blame), "dma");
+}
+
+// --- blame golden ---------------------------------------------------
+
+const std::string kBlameGolden = "blame.txt";
+
+/** Every field of @p b: the totals, one line per path segment and one
+ * per category and track entry, with doubles at %.17g so no bit of
+ * drift hides. */
+std::string
+dumpBlame(const BlameReport &b)
+{
+    std::string s = format(
+        "endTick=%llu coveredTicks=%llu coverage=%.17g flowHops=%llu "
+        "inferredHops=%llu\n",
+        (unsigned long long)b.endTick, (unsigned long long)b.coveredTicks,
+        b.coverage, (unsigned long long)b.flowHops,
+        (unsigned long long)b.inferredHops);
+    for (const CriticalSegment &seg : b.path) {
+        s += format("segment span=%zu begin=%llu end=%llu viaFlow=%d\n",
+                    seg.spanIndex, (unsigned long long)seg.begin,
+                    (unsigned long long)seg.end, seg.viaFlow ? 1 : 0);
+    }
+    for (const auto &[kind, entries] :
+         {std::pair{"category", &b.byCategory},
+          std::pair{"track", &b.byTrack}}) {
+        for (const BlameEntry &e : *entries) {
+            s += format("%s %s onPath=%llu total=%llu overlapped=%llu "
+                        "whatIf=%.17g segments=%llu\n",
+                        kind, e.name.c_str(),
+                        (unsigned long long)e.onPathTicks,
+                        (unsigned long long)e.totalTicks,
+                        (unsigned long long)e.overlappedTicks,
+                        e.whatIfSpeedup, (unsigned long long)e.segments);
+        }
+    }
+    return s;
+}
+
+/** Trace @p config with every category on, as genie_report does. */
+SocConfig
+tracedAll(SocConfig config)
+{
+    config.tracing.enabled = true;
+    config.tracing.categories = allTraceCategories;
+    return config;
+}
+
+TEST(ScopeBlameGolden, PaperDesignPointsMatchGolden)
+{
+    // Each point's `genie_report <workload> <options>` output (blame
+    // plus the segments table) followed by the full BlameReport.
+    std::vector<std::string> fresh;
+    for (const DesignPointSpec &p : paperPoints) {
+        SocConfig cfg = parseConfig(splitOptions(p.options));
+        Trace trace = makeWorkload(p.workload)->build().trace;
+        Dddg dddg(trace);
+        Soc soc(tracedAll(cfg), trace, dddg);
+        SocResults results = soc.run();
+        SpanDag dag = buildSpanDag(*soc.tracer());
+        BlameReport b = blame(dag);
+
+        RunReportInput in;
+        in.title = p.workload;
+        in.configLine = cfg.describe();
+        in.results = &results;
+        in.blame = &b;
+        in.dag = &dag;
+        fresh.push_back(
+            hashLine(p.name, renderRunReport(in) + dumpBlame(b)));
+    }
+    expectGolden(kBlameGolden, fresh);
+}
+
+TEST(ScopeBlameGolden, SweepReportMatchesGolden)
+{
+    // `genie_report stencil-stencil2d --sweep --space=fig6
+    // --filter="lanes=1,4;partitions=1,4"`: the space CI's
+    // sweep-smoke job reports on, blame on every point.
+    Trace trace = makeWorkload("stencil-stencil2d")->build().trace;
+    Dddg dddg(trace);
+    auto configs =
+        filterConfigs(enumerateSpace("fig6", SocConfig{}),
+                      SpaceFilter::parse("lanes=1,4;partitions=1,4"));
+    auto points = runSweep(configs, trace, dddg, 1);
+
+    SweepReportInput in;
+    in.title = "stencil-stencil2d (fig6)";
+    in.points = &points;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        Soc soc(tracedAll(points[i].config), trace, dddg);
+        soc.run();
+        in.blames.emplace_back(i, blameRun(*soc.tracer()));
+    }
+    in.blameScopeNote =
+        format("blame: all %zu points re-run traced", points.size());
+    expectGolden(kBlameGolden, {hashLine("sweep-stencil2d-fig6",
+                                         renderSweepReport(in))});
 }
 
 } // namespace
