@@ -19,9 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,56 +27,16 @@
 #include "core/config_parse.hh"
 #include "core/report.hh"
 #include "core/soc.hh"
+#include "golden_lines.hh"
 #include "trace/tracer.hh"
 #include "workloads/workload.hh"
-
-#ifndef GENIE_GOLDEN_DIR
-#error "tests/CMakeLists.txt must define GENIE_GOLDEN_DIR"
-#endif
 
 namespace genie
 {
 namespace
 {
 
-const std::string kGolden =
-    std::string(GENIE_GOLDEN_DIR) + "/event_order.txt";
-
-/** One pinned design point. */
-struct DesignPointSpec
-{
-    const char *name;
-    const char *workload;
-    const char *options;
-};
-
-/** The six paper design points (Figures 6 and 7 axes over the
- * MachSuite kernels). */
-const DesignPointSpec paperPoints[] = {
-    {"stencil2d-dma-opt", "stencil-stencil2d",
-     "mem=dma lanes=8 partitions=8 pipelined=1 triggered=1"},
-    {"gemm-dma-baseline", "gemm-ncubed",
-     "mem=dma lanes=4 partitions=4"},
-    {"md-knn-cache", "md-knn",
-     "mem=cache lanes=4 cache_kb=16 cache_ports=2"},
-    {"stencil3d-dma-opt", "stencil-stencil3d",
-     "mem=dma lanes=8 partitions=8 pipelined=1 triggered=1"},
-    {"spmv-crs-cache", "spmv-crs",
-     "mem=cache lanes=4 cache_kb=32 cache_ports=2"},
-    {"fft-dma-pipelined", "fft-transpose",
-     "mem=dma lanes=8 partitions=8 pipelined=1"},
-};
-
-std::vector<std::string>
-splitOptions(const char *options)
-{
-    std::vector<std::string> out;
-    std::istringstream iss(options);
-    std::string tok;
-    while (iss >> tok)
-        out.push_back(tok);
-    return out;
-}
+const std::string kGolden = "event_order.txt";
 
 /**
  * Build everything from scratch and run one simulation, returning its
@@ -109,56 +66,12 @@ runAndDump(const std::string &workload, const SocConfig &cfg)
     return os.str();
 }
 
-std::uint64_t
-fnv1a64(const std::string &bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 /** The golden line for one design point. */
 std::string
 goldenLine(const char *label, const std::string &workload,
            const SocConfig &cfg)
 {
-    const std::string dump = runAndDump(workload, cfg);
-    char hash[17];
-    std::snprintf(hash, sizeof(hash), "%016llx",
-                  (unsigned long long)fnv1a64(dump));
-    return std::string(label) + " fnv1a64=" + hash +
-           " bytes=" + std::to_string(dump.size()) + "\n";
-}
-
-/** The golden file's line for @p label. */
-std::string
-goldenFor(const std::string &label)
-{
-    std::ifstream in(kGolden);
-    EXPECT_TRUE(in.good()) << "missing golden file " << kGolden;
-    const std::string prefix = label + ' ';
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.rfind(prefix, 0) == 0)
-            return line + "\n";
-    }
-    return "";
-}
-
-/** Compare @p fresh golden lines with the golden file's lines for
- * the same labels. */
-void
-expectGolden(const std::vector<std::string> &fresh)
-{
-    std::string got, want;
-    for (const std::string &line : fresh) {
-        got += line;
-        want += goldenFor(line.substr(0, line.find(' ')));
-    }
-    EXPECT_EQ(got, want) << "fresh lines:\n" << got;
+    return hashLine(label, runAndDump(workload, cfg));
 }
 
 TEST(EventOrderGolden, PaperDesignPointsMatchGolden)
@@ -168,7 +81,7 @@ TEST(EventOrderGolden, PaperDesignPointsMatchGolden)
         SocConfig cfg = parseConfig(splitOptions(p.options));
         fresh.push_back(goldenLine(p.name, p.workload, cfg));
     }
-    expectGolden(fresh);
+    expectGolden(kGolden, fresh);
 }
 
 TEST(EventOrderGolden, TracedRunsMatchGolden)
@@ -185,7 +98,7 @@ TEST(EventOrderGolden, TracedRunsMatchGolden)
         cfg.tracing.categories = allTraceCategories;
         fresh.push_back(goldenLine(label, p.workload, cfg));
     }
-    expectGolden(fresh);
+    expectGolden(kGolden, fresh);
 }
 
 TEST(EventOrderGolden, IfaceVariantsMatchGolden)
@@ -198,7 +111,8 @@ TEST(EventOrderGolden, IfaceVariantsMatchGolden)
     SocConfig intr = parseConfig(splitOptions(
         "mem=dma lanes=4 partitions=4 completion=interrupt "
         "queue_depth=4 invocations=2"));
-    expectGolden({goldenLine("acp", "stencil-stencil2d", acp),
+    expectGolden(kGolden,
+                 {goldenLine("acp", "stencil-stencil2d", acp),
                   goldenLine("interrupt-queued", "stencil-stencil2d",
                              intr)});
 }
@@ -214,7 +128,8 @@ TEST(EventOrderGolden, SeededFaultRunsMatchGolden)
         0.2;
     cfg.faults.rates[static_cast<unsigned>(FaultSite::BusResp)] = 0.1;
     cfg.faults.seed = 42;
-    expectGolden({goldenLine("faults", "stencil-stencil2d", cfg)});
+    expectGolden(kGolden,
+                 {goldenLine("faults", "stencil-stencil2d", cfg)});
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -25,12 +24,9 @@
 #include "core/config_parse.hh"
 #include "core/report.hh"
 #include "core/soc.hh"
+#include "golden_lines.hh"
 #include "iface/interrupt_line.hh"
 #include "workloads/workload.hh"
-
-#ifndef GENIE_GOLDEN_DIR
-#error "tests/CMakeLists.txt must define GENIE_GOLDEN_DIR"
-#endif
 
 namespace genie
 {
@@ -333,26 +329,10 @@ TEST(MultiSoc, IsolatedRejectsSeveralAccelerators)
                  FatalError);
 }
 
-std::uint64_t
-fnv1a64(const std::string &bytes)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 std::string
 goldenLine(const std::string &label, Soc &soc)
 {
-    const std::string dump = runAndDump(soc);
-    char hash[17];
-    std::snprintf(hash, sizeof(hash), "%016llx",
-                  (unsigned long long)fnv1a64(dump));
-    return label + " fnv1a64=" + hash +
-           " bytes=" + std::to_string(dump.size()) + "\n";
+    return hashLine(label, runAndDump(soc));
 }
 
 TEST(MultiSoc, ContentionSystemsMatchGolden)
