@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 
 #include "accel/datapath.hh"
 #include "sim/logging.hh"
@@ -56,9 +57,12 @@ validateSocConfig(const SocConfig &cfg)
         if (cfg.cache.assoc == 0)
             fatal("config: cache_assoc=0 — associativity must be at "
                   "least 1");
+        // In 64 bits: line * assoc = 2^32 must not wrap to a zero
+        // divisor.
         if (cfg.cache.sizeBytes == 0 ||
             cfg.cache.sizeBytes %
-                    (cfg.cache.lineBytes * cfg.cache.assoc) !=
+                    (std::uint64_t{cfg.cache.lineBytes} *
+                     cfg.cache.assoc) !=
                 0)
             fatal("config: cache_kb/cache_line/cache_assoc mismatch "
                   "— %u bytes is not divisible by line (%u) * assoc "

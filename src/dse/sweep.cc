@@ -318,6 +318,7 @@ SpaceFilter
 SpaceFilter::parse(const std::string &spec)
 {
     SpaceFilter f;
+    std::vector<std::string> seen;
     std::size_t start = 0;
     while (start < spec.size()) {
         std::size_t semi = spec.find(';', start);
@@ -332,6 +333,9 @@ SpaceFilter::parse(const std::string &spec)
             }
             std::string axis = clause.substr(0, eq);
             std::string csv = clause.substr(eq + 1);
+            if (std::find(seen.begin(), seen.end(), axis) != seen.end())
+                fatal("filter axis '%s' is given twice", axis.c_str());
+            seen.push_back(axis);
             if (axis == "lanes")
                 f.lanes = parseAxisValues(axis, csv);
             else if (axis == "partitions")

@@ -118,8 +118,8 @@ struct SpaceFilter GENIE_THREAD_LOCAL_OK
      * Parse a spec such as "lanes=1,4;partitions=1,4;cache_kb=2,16"
      * or "mem_type=dma,acp;completion=interrupt". Axes: lanes,
      * partitions, cache_kb, cache_line, cache_ports, cache_assoc,
-     * mem_type, completion. fatal() on unknown axes or malformed
-     * values.
+     * mem_type, completion. fatal() on unknown axes, malformed
+     * values, or an axis given twice (never a silent override).
      */
     static SpaceFilter parse(const std::string &spec);
 };

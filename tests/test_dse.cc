@@ -665,6 +665,28 @@ TEST(SpaceFilter, RejectsNumbersOutsideTheAxisRange)
               (std::vector<unsigned>{4294967295u}));
 }
 
+TEST(SpaceFilter, RejectsARepeatedAxis)
+{
+    // "lanes=1;lanes=4" used to keep only lanes=4 and sweep half the
+    // points asked for. A repeat is an error naming the axis.
+    for (const char *spec :
+         {"lanes=1;lanes=4", "partitions=1;lanes=2;partitions=4",
+          "mem_type=dma;mem_type=acp", "cache_kb=2;cache_kb=2"}) {
+        try {
+            SpaceFilter::parse(spec);
+            ADD_FAILURE() << spec << " must be rejected";
+        } catch (const FatalError &e) {
+            const std::string s = spec;
+            EXPECT_NE(std::string(e.what()).find(
+                          "'" + s.substr(0, s.find('=')) + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_EQ(SpaceFilter::parse("lanes=1,4;partitions=4").lanes,
+              (std::vector<unsigned>{1, 4}));
+}
+
 TEST(SpaceFilter, CacheAxesOnlyConstrainCacheConfigs)
 {
     SocConfig base;

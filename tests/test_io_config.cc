@@ -409,6 +409,23 @@ TEST(ConfigValidation, RejectsContradictoryIfaceConfigs)
     EXPECT_THROW(validateSocConfig(c), FatalError);
 }
 
+TEST(ConfigValidation, RejectsCacheLineTimesAssocBeyond32Bits)
+{
+    // line * assoc = 2^32 used to wrap to 0 in 32-bit arithmetic, so
+    // the divisibility check divided by zero (SIGFPE) instead of
+    // failing with a config error.
+    SocConfig c = parseConfig(
+        {"mem=cache", "cache_line=65536", "cache_assoc=65536"});
+    try {
+        validateSocConfig(c);
+        ADD_FAILURE() << "line * assoc = 2^32 must be rejected";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("config: cache_kb"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(ConfigValidation, AcceptsWellFormedIfaceConfigs)
 {
     validateSocConfig(parseConfig(
