@@ -1,4 +1,4 @@
-#include "journal.hh"
+#include "result_json.hh"
 
 #include <cstdlib>
 

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/fingerprint.hh"
-#include "dse/journal.hh"
+#include "dse/result_json.hh"
 #include "sim/logging.hh"
 
 namespace fs = std::filesystem;

@@ -20,8 +20,8 @@
  *
  *  - One record per file. A record is the genie-store-2 header line
  *    (carrying a CRC32 of the payload) followed by one
- *    resultRecordLine() payload line (dse/journal.hh), through which
- *    results round-trip bit-exactly. Records of any other schema
+ *    resultRecordLine() payload line (dse/result_json.hh), through
+ *    which results round-trip bit-exactly. Records of any other schema
  *    (genie-store-1 keyed on the config alone) are quarantined like
  *    corrupt ones, so they can only ever miss.
  *  - Writes are atomic: the record is written to a

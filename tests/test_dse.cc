@@ -14,8 +14,8 @@
 
 #include "core/config_parse.hh"
 #include "core/fingerprint.hh"
-#include "dse/journal.hh"
 #include "dse/pareto.hh"
+#include "dse/result_json.hh"
 #include "dse/result_store.hh"
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"

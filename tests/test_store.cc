@@ -20,7 +20,7 @@
 #include <unistd.h>
 
 #include "core/fingerprint.hh"
-#include "dse/journal.hh"
+#include "dse/result_json.hh"
 #include "dse/result_store.hh"
 #include "dse/sweep_engine.hh"
 #include "workloads/workload.hh"

@@ -35,7 +35,7 @@
 #include <thread>
 #include <vector>
 
-#include "dse/journal.hh"
+#include "dse/result_json.hh"
 #include "dse/result_store.hh"
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"

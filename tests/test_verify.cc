@@ -332,7 +332,7 @@ TEST(LintSweepDeterminism, FlagsThreadIdentityInsideDse)
                     "auto id = std::this_thread::get_id();\n"),
         "sweep-determinism"));
     EXPECT_TRUE(hasRule(
-        lintSnippet("src/dse/journal.cc",
+        lintSnippet("src/dse/result_json.cc",
                     "std::thread::id owner;\n"),
         "sweep-determinism"));
     EXPECT_TRUE(hasRule(
@@ -344,7 +344,7 @@ TEST(LintSweepDeterminism, FlagsThreadIdentityInsideDse)
                     "record.worker = gettid();\n"),
         "sweep-determinism"));
     EXPECT_TRUE(hasRule(
-        lintSnippet("src/dse/journal.cc",
+        lintSnippet("src/dse/result_json.cc",
                     "header.pid = getpid();\n"),
         "sweep-determinism"));
 }

@@ -54,8 +54,8 @@
 #include <vector>
 
 #include "core/config_parse.hh"
-#include "dse/journal.hh"
 #include "dse/pareto.hh"
+#include "dse/result_json.hh"
 #include "dse/result_store.hh"
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"
