@@ -8,8 +8,7 @@
  * events pool under "(untagged)"). After a run the profiler answers:
  * where does the simulator itself spend host time, and how many
  * simulated events per second does it retire (MEPS = millions of
- * events/second) — the headline number tools/genie_bench tracks in
- * BENCH_genie.json.
+ * events/second).
  *
  * The profiler observes and never mutates simulation state, so
  * profiled and unprofiled runs produce identical simulated results.

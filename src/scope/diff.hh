@@ -1,11 +1,12 @@
 /**
  * @file
  * Structural, tolerance-aware comparison of two Genie JSON documents
- * (genie-stats-1 metric exports, genie-bench-1 bench summaries).
+ * (genie-stats-1 metric exports, genie-sweep-results-1 sweep exports).
  *
  * The comparison walks both documents as trees and reports leaf-level
- * differences by dotted path ("benches[0].sim.total_us"). Per-metric
- * rules — first glob match wins — decide how a path is judged:
+ * differences by dotted path ("points[0].results.total_ticks").
+ * Per-metric rules — first glob match wins — decide how a path is
+ * judged:
  *
  *  - ignore: the path is skipped entirely (host-derived numbers such
  *    as wall_ms and MEPS can never compare equal across machines);

@@ -2,9 +2,9 @@
  * @file
  * A minimal JSON reader for Genie-Scope's cross-run tooling.
  *
- * genie_diff compares genie-stats-1 and genie-bench-1 documents that
- * this repository itself emits, so the parser targets exactly RFC
- * 8259 JSON with two deliberate simplifications:
+ * genie_diff compares genie-stats-1 and genie-sweep-results-1
+ * documents that this repository itself emits, so the parser targets
+ * exactly RFC 8259 JSON with two deliberate simplifications:
  *
  *  - numbers are held as double plus the original lexeme (so a diff
  *    can report values verbatim, as written);

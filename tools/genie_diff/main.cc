@@ -1,13 +1,13 @@
 /**
  * @file
  * genie_diff: structural comparison of two Genie JSON documents
- * (genie-stats-1 exports, genie-bench-1 bench summaries, sweep
- * results) under per-metric tolerance rules — the CI gate for "did
- * the numbers move?".
+ * (genie-stats-1 exports, genie-sweep-results-1 sweep results) under
+ * per-metric tolerance rules — the CI gate for "did the numbers
+ * move?".
  *
  *   genie_diff baseline.json candidate.json
- *   genie_diff BENCH_baseline.json BENCH_genie.json \
- *              --tol='*.sim.total_us=0.5%' --report=diff.md
+ *   genie_diff ref.json resumed.json \
+ *              --tol='*.results.total_ticks=0.5%' --report=diff.md
  *   genie_diff a.json b.json --tol='*cache_miss_rate*=ignore' \
  *              --strict
  *
