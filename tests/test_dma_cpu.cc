@@ -61,8 +61,9 @@ TEST_F(DmaFixture, BeatsArriveInOrder)
         DmaEngine::Direction::MemToAccel,
         {{0, 0x1000, 0, 1024}},
         [&](int, Addr off, unsigned) {
-            if (!first)
+            if (!first) {
                 EXPECT_GT(off, lastOffset);
+            }
             lastOffset = off;
             first = false;
         },

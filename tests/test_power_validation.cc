@@ -172,8 +172,9 @@ TEST_P(BoundParamTest, BarrierPathShrinksWithLanes)
     for (unsigned lanes : {1u, 2u, 4u, 8u, 16u}) {
         Cycles cp = ValidationModel::barrierCriticalPathCycles(
             out.trace, dddg, lanes);
-        if (!first)
+        if (!first) {
             EXPECT_LE(cp, prev) << GetParam() << " lanes=" << lanes;
+        }
         prev = cp;
         first = false;
         // Never below the unbarriered critical path.

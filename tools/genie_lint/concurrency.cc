@@ -232,11 +232,11 @@ isMemberCall(const std::vector<Token> &toks, std::size_t i)
 }
 
 /** Count top-level commas in the call group opening at @p open. */
-int
+std::size_t
 topLevelCommas(const std::vector<Token> &toks, std::size_t open)
 {
     int depth = 0;
-    int commas = 0;
+    std::size_t commas = 0;
     for (std::size_t k = open; k < toks.size(); ++k) {
         const std::string &t = toks[k].text;
         if (t == "(" || t == "[" || t == "{") {
