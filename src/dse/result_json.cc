@@ -5,6 +5,7 @@
 #include "core/fingerprint.hh"
 #include "metrics/export.hh"
 #include "sim/logging.hh"
+#include "sim/whole_number.hh"
 
 namespace genie
 {
@@ -35,16 +36,19 @@ fieldText(const std::string &line, const char *name)
     return line.substr(pos + needle.size());
 }
 
+/** A whole number that fits 64 bits, ending the field: a sign, an
+ * overflow or trailing junk makes the record unparseable. */
 bool
 parseU64Field(const std::string &line, const char *name,
               std::uint64_t &out)
 {
     std::string text = fieldText(line, name);
-    if (text.empty())
+    std::size_t digits = text.find_first_not_of("0123456789");
+    if (digits == std::string::npos ||
+        (text[digits] != ',' && text[digits] != '}'))
         return false;
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return end != text.c_str();
+    text.resize(digits);
+    return parseWholeNumber(text.c_str(), out);
 }
 
 bool

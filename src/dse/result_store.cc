@@ -105,8 +105,16 @@ readRecordFile(const std::string &path)
         r.why = "header lacks crc32";
         return r;
     }
-    std::uint32_t want = static_cast<std::uint32_t>(std::strtoul(
-        header.c_str() + pos + needle.size(), nullptr, 16));
+    // Exactly the eight lowercase hex digits storeHeaderLine writes,
+    // then the closing quote.
+    const std::size_t hex = pos + needle.size();
+    if (header.size() < hex + 9 || header[hex + 8] != '"' ||
+        header.find_first_not_of("0123456789abcdef", hex) != hex + 8) {
+        r.why = "malformed crc32";
+        return r;
+    }
+    std::uint32_t want = static_cast<std::uint32_t>(
+        std::strtoul(header.substr(hex, 8).c_str(), nullptr, 16));
     if (!std::getline(in, payload)) {
         r.why = "truncated record (no payload line)";
         return r;

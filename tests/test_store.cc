@@ -18,6 +18,7 @@
 #include <string>
 #include <sys/wait.h>
 #include <unistd.h>
+#include <vector>
 
 #include "core/fingerprint.hh"
 #include "dse/result_json.hh"
@@ -111,6 +112,32 @@ TEST(Crc32, DetectsSingleBitFlips)
     std::uint32_t clean = crc32Ieee(payload.data(), payload.size());
     payload[5] ^= 1;
     EXPECT_NE(crc32Ieee(payload.data(), payload.size()), clean);
+}
+
+TEST(ResultRecordLine, RejectsSignedOverflowingAndJunkCounts)
+{
+    const std::string good = resultRecordLine("k", sampleResults(3.0));
+    const std::string field = "\"total_ticks\": ";
+    const std::size_t at = good.find(field) + field.size();
+    const std::size_t end = good.find(',', at);
+    auto withTicks = [&](const std::string &text) {
+        return good.substr(0, at) + text + good.substr(end);
+    };
+
+    std::string key;
+    SocResults out;
+    ASSERT_TRUE(parseResultRecordLine(good, key, out));
+    ASSERT_TRUE(
+        parseResultRecordLine(withTicks("18446744073709551615"), key, out));
+    EXPECT_EQ(out.totalTicks, 18446744073709551615ull);
+
+    // strtoull read "-5" as 2^64 - 5 and clamped an overflow to 2^64 - 1.
+    for (const char *bad : {"-5", "99999999999999999999999",
+                            "18446744073709551616", "+7", " 7", "12abc",
+                            "0x10", ""}) {
+        EXPECT_FALSE(parseResultRecordLine(withTicks(bad), key, out))
+            << "total_ticks: '" << bad << "'";
+    }
 }
 
 // ---------------------------------------------------------------
@@ -362,6 +389,36 @@ std::string
 recordFileOf(const std::string &dir, const std::string &key)
 {
     return dir + "/" + fingerprintHex(fnv1a64(key)) + ".rec";
+}
+
+TEST(ResultStore, ReopenQuarantinesMalformedCrc)
+{
+    const std::string dir = scratchDir();
+    {
+        ResultStore store;
+        store.open(dir);
+        store.insert("k", sampleResults(5.0));
+    }
+    const std::string good = readTextFile(recordFileOf(dir, "k"));
+    const std::string field = "\"crc32\": \"";
+    const std::size_t at = good.find(field) + field.size();
+    const std::string hex = good.substr(at, 8);
+    // Each keeps the right crc for strtoul to find: extra leading
+    // digits, a sign, a prefix, a space, trailing junk, too few.
+    const std::vector<std::string> bad = {
+        "ff" + hex,  "+" + hex,          "0x" + hex,
+        " " + hex,   hex + "z",          hex.substr(1)};
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        writeTextFile(format("%s/%016zx.rec", dir.c_str(), i + 1),
+                      good.substr(0, at) + bad[i] + good.substr(at + 8));
+    }
+
+    ResultStore reopened;
+    reopened.open(dir);
+    EXPECT_EQ(reopened.stats().reloaded, 1u);
+    EXPECT_EQ(reopened.stats().corrupt, bad.size());
+    SocResults out;
+    EXPECT_TRUE(reopened.lookup("k", out));
 }
 
 TEST(ResultStore, VanishedRecordMissesWithoutQuarantine)
