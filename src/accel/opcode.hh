@@ -72,17 +72,25 @@ fuKindOf(Opcode op)
     }
 }
 
-/** Execution latency in accelerator cycles (pipelined units). */
+/** Execution latency in accelerator cycles of an op on a @p kind
+ * unit (all pipelined but the divider). */
+constexpr Cycles
+latencyOf(FuKind kind)
+{
+    switch (kind) {
+      case FuKind::IntMul: return 2;
+      case FuKind::FpAdd:  return 3;
+      case FuKind::FpMul:  return 4;
+      case FuKind::FpDiv:  return 12;
+      default:             return 1;
+    }
+}
+
+/** Execution latency in accelerator cycles (memory ops: 1). */
 constexpr Cycles
 latencyOf(Opcode op)
 {
-    switch (op) {
-      case Opcode::IntMul: return 2;
-      case Opcode::FpAdd:  return 3;
-      case Opcode::FpMul:  return 4;
-      case Opcode::FpDiv:  return 12;
-      default:             return 1;
-    }
+    return latencyOf(fuKindOf(op));
 }
 
 constexpr const char *

@@ -31,14 +31,14 @@ namespace genie
 using NodeId = std::uint32_t;
 constexpr NodeId invalidNode = 0xffffffff;
 
-/** One dynamic operation. */
+/** One dynamic operation. Fields are ordered to leave no padding. */
 struct TraceOp
 {
     Opcode op = Opcode::Nop;
-    /** For Load/Store: the accessed array. */
-    std::int16_t arrayId = -1;
     /** For Load/Store: access size in bytes. */
     std::uint8_t size = 0;
+    /** For Load/Store: the accessed array. */
+    std::int16_t arrayId = -1;
     /** Loop iteration this op belongs to (drives lane assignment). */
     std::uint32_t iteration = 0;
     /** For Load/Store: byte offset within the array. */
@@ -46,6 +46,7 @@ struct TraceOp
     /** Register (true) dependences: producers of this op's inputs. */
     std::vector<NodeId> deps;
 };
+static_assert(sizeof(TraceOp) == 40, "TraceOp grew padding");
 
 /** A workload array visible to the accelerator. */
 struct ArrayInfo

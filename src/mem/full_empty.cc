@@ -7,11 +7,13 @@ namespace genie
 
 FullEmptyBits::FullEmptyBits(std::string name, unsigned granularityBytes)
     : SimObject(std::move(name)), granularity(granularityBytes),
+      granularityShift(floorLog2(granularityBytes)),
       statFills(stats().add("fills", "line-granularity fill events")),
       statStalls(stats().add("stalls", "loads that waited on a bit"))
 {
-    if (granularity == 0)
-        fatal("full/empty granularity must be non-zero");
+    if (!isPowerOf2(granularity))
+        fatal("full/empty granularity %u is not a power of two",
+              granularity);
 }
 
 int

@@ -32,6 +32,8 @@ class FullEmptyBits : public SimObject
   public:
     using Waiter = std::function<void()>;
 
+    /** @p granularityBytes, the bytes each bit covers, is a power of
+     * two. */
     FullEmptyBits(std::string name, unsigned granularityBytes);
 
     /** Register an array of @p sizeBytes; @return its id. All bits
@@ -64,7 +66,7 @@ class FullEmptyBits : public SimObject
     std::size_t
     chunkOf(Addr offset) const
     {
-        return static_cast<std::size_t>(offset / granularity);
+        return static_cast<std::size_t>(offset >> granularityShift);
     }
 
     /** isFull() with the chunk already resolved by chunkOf(): the
@@ -98,6 +100,7 @@ class FullEmptyBits : public SimObject
     };
 
     unsigned granularity;
+    unsigned granularityShift;
     std::vector<ArrayBits> arrays;
 
     Stat &statFills;

@@ -273,6 +273,50 @@ TEST(SweepEngine, ContinueOnErrorCompletesRemainingPoints)
     }
 }
 
+TEST(SweepEngine, SharedDddgMatchesSerialRunsOnFreshDddgs)
+{
+    // Four workers schedule one Dddg, whose lowered ops, roots and
+    // iteration sizes every point reads. Each point must come out as
+    // if it had a graph of its own.
+    std::vector<std::vector<std::string>> options;
+    for (unsigned lanes : {1u, 3u, 8u}) {
+        for (unsigned parts : {1u, 4u}) {
+            for (unsigned trig : {0u, 1u}) {
+                options.push_back({"mem=dma",
+                                   "lanes=" + std::to_string(lanes),
+                                   "partitions=" + std::to_string(parts),
+                                   "triggered=" + std::to_string(trig)});
+            }
+        }
+    }
+    options.push_back({"mem=cache", "lanes=1"});
+    options.push_back({"mem=cache", "lanes=4", "cache_ports=2"});
+    options.push_back({"mem=dma", "lanes=4", "perfect_mem=1"});
+    options.push_back({"mem=cache", "lanes=4", "perfect_mem=1"});
+    options.push_back({"mem=dma", "lanes=4", "partitions=4", "triggered=1",
+                       "invocations=3"});
+    options.push_back({"mem=cache", "lanes=4", "invocations=3"});
+    std::vector<SocConfig> configs;
+    for (const auto &o : options)
+        configs.push_back(parseConfig(o));
+
+    for (const char *kernel : {"stencil-stencil2d", "spmv-crs"}) {
+        const Trace trace = makeWorkload(kernel)->build().trace;
+        const Dddg shared(trace);
+        SweepOptions sweepOptions;
+        sweepOptions.threads = 4;
+        SweepEngine engine(std::move(sweepOptions));
+        auto points = engine.run(configs, trace, shared);
+        ASSERT_EQ(points.size(), configs.size());
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            const Dddg fresh(trace);
+            EXPECT_EQ(resultsJson(points[i].results),
+                      resultsJson(runDesign(configs[i], trace, fresh)))
+                << kernel << ' ' << configCanonicalKey(configs[i]);
+        }
+    }
+}
+
 TEST(SweepEngine, ResultCacheDedupesAcrossRuns)
 {
     const auto &s = space();

@@ -665,6 +665,16 @@ TEST(FullEmpty, BitsStartEmptyAndFill)
     EXPECT_FALSE(fe.isFull(a, 64));
 }
 
+TEST(FullEmpty, GranularityIsAPowerOfTwo)
+{
+    // A bit's chunk is a shift of the offset.
+    EXPECT_THROW(FullEmptyBits("fe", 0), FatalError);
+    EXPECT_THROW(FullEmptyBits("fe", 48), FatalError);
+    FullEmptyBits fe("fe", 32);
+    EXPECT_EQ(fe.chunkOf(95), 2u);
+    EXPECT_EQ(fe.chunkOf(96), 3u);
+}
+
 TEST(FullEmpty, WaitersWokenOnFill)
 {
     FullEmptyBits fe("fe", 64);
