@@ -111,10 +111,16 @@ TEST(EventOrderGolden, IfaceVariantsMatchGolden)
     SocConfig intr = parseConfig(splitOptions(
         "mem=dma lanes=4 partitions=4 completion=interrupt "
         "queue_depth=4 invocations=2"));
+    // DMA-triggered compute invoked twice: ready-bit loads issue again
+    // in the second invocation.
+    SocConfig trig = parseConfig(splitOptions(
+        "mem=dma lanes=4 partitions=4 triggered=1 invocations=2"));
     expectGolden(kGolden,
                  {goldenLine("acp", "stencil-stencil2d", acp),
                   goldenLine("interrupt-queued", "stencil-stencil2d",
-                             intr)});
+                             intr),
+                  goldenLine("triggered-twice", "stencil-stencil2d",
+                             trig)});
 }
 
 TEST(EventOrderGolden, SeededFaultRunsMatchGolden)
