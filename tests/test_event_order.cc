@@ -101,6 +101,18 @@ TEST(EventOrderGolden, TracedRunsMatchGolden)
     expectGolden(kGolden, fresh);
 }
 
+TEST(EventOrderGolden, TracedAcpRunMatchesGolden)
+{
+    // The coherent engine's spans and flows: acpLoad/acpStore and
+    // their chunks in the Iface category, with no setup span.
+    SocConfig cfg = parseConfig(splitOptions(
+        "mem=dma lanes=4 partitions=4 mem_type=acp"));
+    cfg.tracing.enabled = true;
+    cfg.tracing.categories = allTraceCategories;
+    expectGolden(kGolden, {goldenLine("traced-acp", "stencil-stencil2d",
+                                      cfg)});
+}
+
 TEST(EventOrderGolden, IfaceVariantsMatchGolden)
 {
     // ACP data movement (heavy same-tick snoop traffic).
@@ -136,6 +148,19 @@ TEST(EventOrderGolden, SeededFaultRunsMatchGolden)
     cfg.faults.seed = 42;
     expectGolden(kGolden,
                  {goldenLine("faults", "stencil-stencil2d", cfg)});
+}
+
+TEST(EventOrderGolden, SeededAcpAndDmaFaultRunMatchesGolden)
+{
+    // Both streaming engines draw from one fault Rng: the ACP checks
+    // AcpSnoop on every beat, the DMA engine DmaBeat on every data
+    // beat (not on descriptor fetches). The pipelined DMA pages and
+    // the ACP burst overlap, so the draws interleave.
+    SocConfig cfg = parseConfig(splitOptions(
+        "mem=dma lanes=4 partitions=4 pipelined=1 mem_type.orig=acp "
+        "fault_acp_snoop=0.1 fault_dma_beat=0.05 fault_seed=42"));
+    expectGolden(kGolden, {goldenLine("faults-acp-dma",
+                                      "stencil-stencil2d", cfg)});
 }
 
 } // namespace
