@@ -90,7 +90,7 @@ struct Soc::Accelerator : IoctlDevice
     // only when its knob is non-default, so a baseline run carries
     // no iface object and stays byte-identical to a pre-iface build.
     std::unique_ptr<CommandQueue> cmdQueue;
-    std::unique_ptr<AcpPort> acp;
+    std::unique_ptr<DmaEngine> acp; ///< coherent mode
 
     // Accelerator-local memory system.
     std::unique_ptr<Scratchpad> spad;
@@ -115,8 +115,8 @@ struct Soc::Accelerator : IoctlDevice
     // totals of each partition. All-DMA defaults leave the ACP
     // vectors empty and the dma totals equal to the trace totals.
     std::vector<bool> arrayUsesAcp;
-    std::vector<AcpPort::Segment> acpInputSegs;
-    std::vector<AcpPort::Segment> acpOutputSegs;
+    std::vector<DmaEngine::Segment> acpInputSegs;
+    std::vector<DmaEngine::Segment> acpOutputSegs;
     std::uint64_t dmaInBytes = 0;
     std::uint64_t dmaOutBytes = 0;
     std::uint64_t acpInBytes = 0;
@@ -213,7 +213,7 @@ Soc::datapath(std::size_t i)
     return *accels.at(i)->datapath;
 }
 
-AcpPort *
+DmaEngine *
 Soc::acpPort(std::size_t i)
 {
     return accels.at(i)->acp.get();
@@ -538,7 +538,7 @@ Soc::buildAcpSide(Accelerator &a)
 
     for (std::size_t i = 0; i < trace.arrays.size(); ++i) {
         const auto &arr = trace.arrays[i];
-        AcpPort::Segment seg;
+        DmaEngine::Segment seg;
         seg.arrayId = static_cast<int>(i);
         seg.busAddr = a.arrayDramBase[i];
         seg.arrayOffset = 0;
@@ -572,12 +572,15 @@ Soc::buildAcpSide(Accelerator &a)
     if (cfg.isolated)
         return;
 
-    AcpPort::Params ap;
+    DmaEngine::Params ap;
     ap.beatBytes = cfg.cpuLineBytes;
     ap.maxOutstanding = d.dma.maxOutstanding;
-    a.acp = std::make_unique<AcpPort>(a.name("iface.acp"), eventq,
-                                      ClockDomain::fromMhz(cfg.accelMhz),
-                                      *systemBus, ap);
+    // A doorbell write, not a descriptor-chain walk.
+    ap.setupCycles = 4;
+    ap.coherent = true;
+    a.acp = std::make_unique<DmaEngine>(a.name("iface.acp"), eventq,
+                                        ClockDomain::fromMhz(cfg.accelMhz),
+                                        *systemBus, ap);
 
     // The CPU produced the input data and — the whole point of the
     // ACP — never flushed it: its L1 holds the lines dirty, and the
@@ -721,7 +724,7 @@ Soc::beginInputPhase(Accelerator &a)
 
     if (a.acpInBytes > 0) {
         a.acp->startTransaction(
-            AcpPort::Direction::MemToAccel, a.acpInputSegs, beat,
+            DmaEngine::Direction::MemToAccel, a.acpInputSegs, beat,
             [this, &a](bool ok) {
                 if (!ok)
                     fatal("input ACP burst failed permanently (fault "
@@ -795,7 +798,7 @@ Soc::beginInputPhase(Accelerator &a)
         flush->startFlush(inBytes, inBytes, nullptr, [this, &a, beat] {
             std::vector<DmaEngine::Segment> segs;
             for (std::size_t i : a.inputOrder) {
-                if (!a.arrayUsesAcp.empty() && a.arrayUsesAcp[i])
+                if (a.arrayUsesAcp[i])
                     continue;
                 DmaEngine::Segment seg;
                 seg.arrayId = static_cast<int>(i);
@@ -908,7 +911,7 @@ Soc::beginOutputPhase(Accelerator &a)
         // WriteInvalidate beat drops any cached copy as it lands.
         if (a.acpOutBytes > 0) {
             a.acp->startTransaction(
-                AcpPort::Direction::AccelToMem, a.acpOutputSegs, nullptr,
+                DmaEngine::Direction::AccelToMem, a.acpOutputSegs, nullptr,
                 [this, &a](bool ok) {
                     if (!ok)
                         fatal("output ACP burst failed permanently "

@@ -37,7 +37,6 @@
 #include "dma/flush_model.hh"
 #include "fault/fault_injector.hh"
 #include "fault/watchdog.hh"
-#include "iface/acp_port.hh"
 #include "iface/command_queue.hh"
 #include "iface/interrupt_line.hh"
 #include "mem/bus.hh"
@@ -91,9 +90,9 @@ class Soc
 
     /** Accelerator @p i's datapath. */
     Datapath &datapath(std::size_t i = 0);
-    /** Accelerator @p i's coherency port, or null unless one of its
-     * arrays selects ACP. */
-    AcpPort *acpPort(std::size_t i = 0);
+    /** Accelerator @p i's coherency port (a coherent-mode
+     * DmaEngine), or null unless one of its arrays selects ACP. */
+    DmaEngine *acpPort(std::size_t i = 0);
     /** Accelerator @p i's command queue, or null when its
      * queue_depth is zero. */
     CommandQueue *commandQueue(std::size_t i = 0);

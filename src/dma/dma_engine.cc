@@ -6,17 +6,52 @@
 namespace genie
 {
 
+namespace
+{
+
+/** Register @p name in @p group only when @p on. */
+Stat *
+statIf(bool on, StatGroup &group, const char *name, const char *desc)
+{
+    return on ? &group.add(name, desc) : nullptr;
+}
+
+} // namespace
+
 DmaEngine::DmaEngine(std::string name, EventQueue &eq, ClockDomain domain,
                      SystemBus &bus_, Params p)
     : SimObject(std::move(name)), Clocked(eq, domain), params(p),
       bus(bus_),
-      statTransactions(stats().add("transactions",
-                                   "DMA transactions serviced")),
-      statSegments(stats().add("segments", "descriptors serviced")),
-      statBeats(stats().add("beats", "bus beats issued")),
+      category(p.coherent ? TraceCategory::Iface : TraceCategory::Dma),
+      loadSpan(p.coherent ? "acpLoad" : "load"),
+      storeSpan(p.coherent ? "acpStore" : "store"),
+      setupSpan(p.coherent ? nullptr : "setup"),
+      setupKind(p.coherent ? "iface.acpSetup" : "dma.setup"),
+      retryKind(p.coherent ? "iface.acpRetry" : "dma.retryBeat"),
+      // Coherent stores snoop-invalidate every cached copy; plain
+      // WriteReq leaves coherence to the software flush.
+      storeCmd(p.coherent ? MemCmd::WriteInvalidate : MemCmd::WriteReq),
+      beatFault(p.coherent ? FaultSite::AcpSnoop : FaultSite::DmaBeat),
+      statTransactions(stats().add(
+          "transactions", p.coherent ? "ACP bursts serviced"
+                                     : "DMA transactions serviced")),
+      statSegments(statIf(!p.coherent, stats(), "segments",
+                          "descriptors serviced")),
+      statBeats(stats().add("beats", p.coherent ? "coherent beats issued"
+                                                : "bus beats issued")),
       statBytes(stats().add("bytes", "payload bytes transferred")),
-      statDescriptorFetches(stats().add("descriptorFetches",
-                                        "descriptor fetch reads")),
+      statDescriptorFetches(statIf(!p.coherent, stats(),
+                                   "descriptorFetches",
+                                   "descriptor fetch reads")),
+      statSnoopHits(statIf(p.coherent, stats(), "snoopHits",
+                           "load beats supplied cache-to-cache by a "
+                           "snooped dirty CPU line")),
+      statMemFills(statIf(p.coherent, stats(), "memFills",
+                          "load beats that missed every cache and "
+                          "filled from DRAM")),
+      statWriteInvalidations(statIf(
+          p.coherent, stats(), "writeInvalidations",
+          "store beats that invalidated a cached copy")),
       statErrors(stats().add("errors", "beats observed failed")),
       statRetries(stats().add("retries",
                               "beats reissued after an error")),
@@ -25,7 +60,11 @@ DmaEngine::DmaEngine(std::string name, EventQueue &eq, ClockDomain domain,
           "transactions failed after exhausting retries"))
 {
     if (params.beatBytes == 0 || params.maxOutstanding == 0)
-        fatal("DMA beat size and window must be non-zero");
+        fatal("%s: beat size and window must be non-zero",
+              this->name().c_str());
+    // Even coherent, the engine only snoops others through its
+    // requests and owns no cache, so it attaches as a non-snooped
+    // client.
     busPort = bus.attachClient(this, /*snooper=*/false);
     eq.registerStats(stats());
 }
@@ -60,55 +99,65 @@ DmaEngine::startNext()
     txnStart = eventq.curTick();
     ++statTransactions;
 
-    if (Tracer *t = tracerFor(eventq, TraceCategory::Dma)) {
-        txnSpan = t->begin(TraceCategory::Dma, name(),
+    if (Tracer *t = tracerFor(eventq, category)) {
+        txnSpan = t->begin(category, name(),
                            current.dir == Direction::MemToAccel
-                               ? "load"
-                               : "store");
+                               ? loadSpan
+                               : storeSpan);
         // The setup window's end tick is known analytically.
-        t->complete(TraceCategory::Dma, name(), "setup", txnStart,
-                    clockEdge(params.setupCycles));
+        if (setupSpan)
+            t->complete(category, name(), setupSpan, txnStart,
+                        clockEdge(params.setupCycles));
     }
 
-    // Fixed setup: metadata reads, CPU initiation, housekeeping.
+    // Fixed setup: descriptor metadata and CPU initiation, or a
+    // coherent burst's doorbell write.
     scheduleCycles(params.setupCycles, [this] {
         if (current.segments.empty())
             finishTransaction();
         else
             beginSegment();
-    }, "dma.setup");
+    }, setupKind);
 }
 
 void
 DmaEngine::beginSegment()
 {
-    ++statSegments;
     segIssued = 0;
     segCompleted = 0;
 
-    if (Tracer *t = tracerFor(eventq, TraceCategory::Dma))
-        chunkSpan = t->begin(TraceCategory::Dma, name(), "chunk");
+    if (Tracer *t = tracerFor(eventq, category))
+        chunkSpan = t->begin(category, name(), "chunk");
 
-    if (params.fetchDescriptors) {
-        // The descriptor itself is fetched from main memory.
-        ++statDescriptorFetches;
-        if (Tracer *t = tracerFor(eventq, TraceCategory::Dma))
-            descSpan = t->begin(TraceCategory::Dma, name(),
-                                "descriptor");
-        std::uint64_t id = nextReqId++;
-        Addr descAddr = current.segments[segIndex].busAddr;
-        inFlight.emplace(id, BeatInfo{0, 0, 0, /*isDescriptor=*/true,
-                                      descAddr, 0});
-        Packet pkt;
-        pkt.cmd = MemCmd::ReadShared;
-        pkt.addr = descAddr; // descriptor home
-        pkt.size = 16;
-        pkt.reqId = id;
-        ++outstanding;
-        bus.sendRequest(busPort, pkt);
-    } else {
+    if (params.coherent) {
         pump();
+        return;
     }
+
+    // The descriptor itself is fetched from main memory.
+    ++*statSegments;
+    ++*statDescriptorFetches;
+    if (Tracer *t = tracerFor(eventq, category))
+        descSpan = t->begin(category, name(), "descriptor");
+    ++outstanding;
+    send(BeatInfo{0, 0, 0, /*isDescriptor=*/true,
+                  current.segments[segIndex].busAddr, 0});
+}
+
+void
+DmaEngine::send(const BeatInfo &info)
+{
+    std::uint64_t id = nextReqId++;
+    inFlight.emplace(id, info);
+    Packet pkt;
+    pkt.addr = info.busAddr;
+    pkt.size = info.isDescriptor ? 16 : info.len;
+    pkt.reqId = id;
+    pkt.cmd = (info.isDescriptor ||
+               current.dir == Direction::MemToAccel)
+                  ? MemCmd::ReadShared
+                  : storeCmd;
+    bus.sendRequest(busPort, pkt);
 }
 
 void
@@ -120,22 +169,12 @@ DmaEngine::pump()
     while (outstanding < params.maxOutstanding && segIssued < seg.len) {
         auto len = static_cast<unsigned>(std::min<std::uint64_t>(
             params.beatBytes, seg.len - segIssued));
-        std::uint64_t id = nextReqId++;
-        inFlight.emplace(id, BeatInfo{seg.arrayId,
-                                      seg.arrayOffset + segIssued, len,
-                                      /*isDescriptor=*/false,
-                                      seg.busAddr + segIssued, 0});
-        Packet pkt;
-        pkt.addr = seg.busAddr + segIssued;
-        pkt.size = len;
-        pkt.reqId = id;
-        pkt.cmd = current.dir == Direction::MemToAccel
-                      ? MemCmd::ReadShared
-                      : MemCmd::WriteReq;
         ++outstanding;
         ++statBeats;
+        send(BeatInfo{seg.arrayId, seg.arrayOffset + segIssued, len,
+                      /*isDescriptor=*/false, seg.busAddr + segIssued,
+                      0});
         segIssued += len;
-        bus.sendRequest(busPort, pkt);
     }
 }
 
@@ -143,17 +182,19 @@ void
 DmaEngine::recvResponse(const Packet &pkt)
 {
     auto it = inFlight.find(pkt.reqId);
-    GENIE_ASSERT(it != inFlight.end(), "DMA response with unknown reqId");
+    GENIE_ASSERT(it != inFlight.end(), "%s: response with unknown reqId",
+                 name().c_str());
     BeatInfo info = it->second;
     inFlight.erase(it);
-    GENIE_ASSERT(outstanding > 0, "DMA outstanding underflow");
+    GENIE_ASSERT(outstanding > 0, "%s: outstanding underflow",
+                 name().c_str());
 
     // A beat fails if the memory system answered with an error, or if
     // the engine-boundary fault site corrupts an otherwise-good beat.
     bool failed = pkt.isError();
     if (!failed && !info.isDescriptor) {
         if (FaultInjector *fi = eventq.faultInjector();
-            fi && fi->shouldFault(FaultSite::DmaBeat))
+            fi && fi->shouldFault(beatFault))
             failed = true;
     }
 
@@ -185,7 +226,7 @@ DmaEngine::recvResponse(const Packet &pkt)
         ++statRetries;
         scheduleCycles(
             static_cast<Cycles>(faultBackoffCycles(eventq, attempt)),
-            [this, info] { reissue(info); }, "dma.retryBeat");
+            [this, info] { reissue(info); }, retryKind);
         return;
     }
 
@@ -198,6 +239,13 @@ DmaEngine::recvResponse(const Packet &pkt)
         }
         pump();
         return;
+    }
+
+    if (params.coherent) {
+        if (current.dir == Direction::MemToAccel)
+            ++*(pkt.cacheToCache ? statSnoopHits : statMemFills);
+        else if (pkt.sharerPresent)
+            ++*statWriteInvalidations;
     }
 
     segCompleted += info.len;
@@ -232,22 +280,13 @@ DmaEngine::reissue(BeatInfo info)
     if (txnFailed) {
         // The transaction died while this beat waited out its
         // backoff; release the window slot instead of re-sending.
-        GENIE_ASSERT(outstanding > 0, "DMA outstanding underflow");
+        GENIE_ASSERT(outstanding > 0, "%s: outstanding underflow",
+                     name().c_str());
         --outstanding;
         maybeAbort();
         return;
     }
-    std::uint64_t id = nextReqId++;
-    Packet pkt;
-    pkt.addr = info.busAddr;
-    pkt.size = info.isDescriptor ? 16 : info.len;
-    pkt.reqId = id;
-    pkt.cmd = (info.isDescriptor ||
-               current.dir == Direction::MemToAccel)
-                  ? MemCmd::ReadShared
-                  : MemCmd::WriteReq;
-    inFlight.emplace(id, info);
-    bus.sendRequest(busPort, pkt);
+    send(info);
 }
 
 void

@@ -1,5 +1,6 @@
 #include "result_json.hh"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "core/fingerprint.hh"
@@ -51,15 +52,21 @@ parseU64Field(const std::string &line, const char *name,
     return parseWholeNumber(text.c_str(), out);
 }
 
+/** A finite decimal number, ending the field: whitespace, nan, inf,
+ * an overflow to infinity or trailing junk makes the record
+ * unparseable. */
 bool
 parseDblField(const std::string &line, const char *name, double &out)
 {
     std::string text = fieldText(line, name);
-    if (text.empty())
+    std::size_t stop = text.find_first_not_of("0123456789+-.eE");
+    if (stop == 0 || stop == std::string::npos ||
+        (text[stop] != ',' && text[stop] != '}'))
         return false;
+    text.resize(stop);
     char *end = nullptr;
     out = std::strtod(text.c_str(), &end);
-    return end != text.c_str();
+    return end == text.c_str() + text.size() && std::isfinite(out);
 }
 
 bool

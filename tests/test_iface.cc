@@ -16,8 +16,8 @@
 
 #include "accel/dddg.hh"
 #include "core/soc.hh"
+#include "dma/dma_engine.hh"
 #include "fault/fault_injector.hh"
-#include "iface/acp_port.hh"
 #include "iface/command_queue.hh"
 #include "iface/interrupt_line.hh"
 #include "mem/bus.hh"
@@ -36,7 +36,8 @@ namespace
 constexpr Tick period = 10000; // 100 MHz
 
 // ---------------------------------------------------------------
-// AcpPort: coherent bursts against bus + DRAM (+ optional CPU cache).
+// DmaEngine in coherent (ACP) mode: coherent bursts against bus +
+// DRAM (+ optional CPU cache).
 // ---------------------------------------------------------------
 
 struct AcpFixture : public ::testing::Test
@@ -44,7 +45,8 @@ struct AcpFixture : public ::testing::Test
     AcpFixture()
         : bus("bus", eq, ClockDomain(period), SystemBus::Params{}),
           dram("dram", eq, ClockDomain(period), bus, {}),
-          acp("acp", eq, ClockDomain(period), bus, AcpPort::Params{})
+          acp("acp", eq, ClockDomain(period), bus,
+              DmaEngine::Params{.setupCycles = 4, .coherent = true})
     {
         bus.setTarget(&dram);
         bus.enableProtocolChecker();
@@ -78,7 +80,7 @@ struct AcpFixture : public ::testing::Test
     EventQueue eq;
     SystemBus bus;
     DramCtrl dram;
-    AcpPort acp;
+    DmaEngine acp;
     std::unique_ptr<Cache> cpuCache;
     std::unique_ptr<FaultInjector> injector;
 };
@@ -88,7 +90,7 @@ TEST_F(AcpFixture, LoadBurstFillsFromDramWhenNothingIsCached)
     std::uint64_t beatBytes = 0;
     bool done = false, ok = false;
     acp.startTransaction(
-        AcpPort::Direction::MemToAccel, {{0, 0x1000, 0, 4096}},
+        DmaEngine::Direction::MemToAccel, {{0, 0x1000, 0, 4096}},
         [&](int, Addr, unsigned len) { beatBytes += len; },
         [&](bool okArg) {
             done = true;
@@ -112,7 +114,7 @@ TEST_F(AcpFixture, DirtyCpuLinesAreSuppliedCacheToCacheWithoutFlush)
     Cache &cpu = dirtyCpuCache(0x1000, 512);
     std::uint64_t beatBytes = 0;
     acp.startTransaction(
-        AcpPort::Direction::MemToAccel, {{0, 0x1000, 0, 512}},
+        DmaEngine::Direction::MemToAccel, {{0, 0x1000, 0, 512}},
         [&](int, Addr, unsigned len) { beatBytes += len; }, nullptr);
     eq.run();
     EXPECT_EQ(beatBytes, 512u);
@@ -130,7 +132,7 @@ TEST_F(AcpFixture, StoreBurstInvalidatesEveryCachedCopy)
 {
     Cache &cpu = dirtyCpuCache(0x2000, 512);
     bool ok = false;
-    acp.startTransaction(AcpPort::Direction::AccelToMem,
+    acp.startTransaction(DmaEngine::Direction::AccelToMem,
                          {{0, 0x2000, 0, 512}}, nullptr,
                          [&](bool okArg) { ok = okArg; });
     eq.run();
@@ -147,7 +149,7 @@ TEST_F(AcpFixture, StoreBurstInvalidatesEveryCachedCopy)
 TEST_F(AcpFixture, SetupDelayIsChargedBeforeTheFirstBeat)
 {
     bool done = false;
-    acp.startTransaction(AcpPort::Direction::MemToAccel,
+    acp.startTransaction(DmaEngine::Direction::MemToAccel,
                          {{0, 0x100, 0, 64}}, nullptr,
                          [&](bool) { done = true; });
     eq.run();
@@ -159,10 +161,10 @@ TEST_F(AcpFixture, SetupDelayIsChargedBeforeTheFirstBeat)
 TEST_F(AcpFixture, QueuedTransactionsRunInFifoOrder)
 {
     std::vector<int> order;
-    acp.startTransaction(AcpPort::Direction::MemToAccel,
+    acp.startTransaction(DmaEngine::Direction::MemToAccel,
                          {{0, 0x0, 0, 128}}, nullptr,
                          [&](bool) { order.push_back(1); });
-    acp.startTransaction(AcpPort::Direction::AccelToMem,
+    acp.startTransaction(DmaEngine::Direction::AccelToMem,
                          {{0, 0x1000, 0, 128}}, nullptr,
                          [&](bool) { order.push_back(2); });
     EXPECT_FALSE(acp.idle());
@@ -180,7 +182,7 @@ TEST_F(AcpFixture, FaultyBeatsRetryAndTheBurstStillCompletes)
     std::uint64_t beatBytes = 0;
     bool done = false, ok = false;
     acp.startTransaction(
-        AcpPort::Direction::MemToAccel, {{0, 0x1000, 0, 4096}},
+        DmaEngine::Direction::MemToAccel, {{0, 0x1000, 0, 4096}},
         [&](int, Addr, unsigned len) { beatBytes += len; },
         [&](bool okArg) {
             done = true;
@@ -200,7 +202,7 @@ TEST_F(AcpFixture, RetryExhaustionFailsTheTransactionAndDrains)
 {
     inject(FaultSite::AcpSnoop, 1.0, /*maxRetries=*/2);
     bool done = false, ok = true;
-    acp.startTransaction(AcpPort::Direction::MemToAccel,
+    acp.startTransaction(DmaEngine::Direction::MemToAccel,
                          {{0, 0x1000, 0, 512}}, nullptr,
                          [&](bool okArg) {
                              done = true;

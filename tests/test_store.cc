@@ -140,6 +140,35 @@ TEST(ResultRecordLine, RejectsSignedOverflowingAndJunkCounts)
     }
 }
 
+TEST(ResultRecordLine, RejectsJunkAndNonFiniteDoubles)
+{
+    const std::string good = resultRecordLine("k", sampleResults(3.0));
+    const std::string field = "\"energy_pj\": ";
+    const std::size_t at = good.find(field) + field.size();
+    const std::size_t end = good.find(',', at);
+    auto withEnergy = [&](const std::string &text) {
+        return good.substr(0, at) + text + good.substr(end);
+    };
+
+    std::string key;
+    SocResults out;
+    for (const auto &[text, value] :
+         {std::pair{"2.5", 2.5}, std::pair{"-0.5", -0.5},
+          std::pair{"3e-09", 3e-09}, std::pair{"1.5e+20", 1.5e+20}}) {
+        ASSERT_TRUE(parseResultRecordLine(withEnergy(text), key, out))
+            << "energy_pj: '" << text << "'";
+        EXPECT_EQ(out.energyPj, value);
+    }
+
+    // strtod alone read each of these as 2.5, 7, nan, -inf or inf.
+    for (const char *bad : {"2.5xyz", " 7", "nan", "-inf", "inf",
+                            "1e999", "-1e999", "0x1p3", "1e", ".", "-",
+                            ""}) {
+        EXPECT_FALSE(parseResultRecordLine(withEnergy(bad), key, out))
+            << "energy_pj: '" << bad << "'";
+    }
+}
+
 // ---------------------------------------------------------------
 // ResultStore
 
