@@ -11,10 +11,10 @@
  * the executed-event count and, when tracing, the Chrome JSON
  * timeline — is reduced to a 64-bit FNV-1a hash and a byte length.
  * tests/golden/event_order.txt holds those lines. The points are the
- * six paper design points, plus iface, seeded-fault and traced
- * variants. A mismatch prints the fresh lines; replace the golden's
- * lines with them only for an intentional model change, never for a
- * change to the queue.
+ * six paper design points, plus iface, seeded-fault (DMA and cache
+ * mode) and traced variants. A mismatch prints the fresh lines;
+ * replace the golden's lines with them only for an intentional model
+ * change, never for a change to the queue.
  */
 
 #include <gtest/gtest.h>
@@ -161,6 +161,26 @@ TEST(EventOrderGolden, SeededAcpAndDmaFaultRunMatchesGolden)
         "fault_acp_snoop=0.1 fault_dma_beat=0.05 fault_seed=42"));
     expectGolden(kGolden, {goldenLine("faults-acp-dma",
                                       "stencil-stencil2d", cfg)});
+}
+
+TEST(EventOrderGolden, SeededCacheFaultRunsMatchGolden)
+{
+    // Cache mode under faults: missed fills and NACKed responses
+    // re-key MSHRs and reissue writebacks, and the walk-timeout draws
+    // interleave with the bus and DRAM ones. The pressure point adds
+    // port and MSHR rejections, dirty evictions and cache-to-cache
+    // supplies on a 4 KB, 4-MSHR cache.
+    SocConfig faults = parseConfig(splitOptions(
+        "mem=cache lanes=4 cache_kb=16 cache_ports=2 "
+        "fault_dram_read=0.05 fault_bus_resp=0.05 fault_tlb_walk=0.1 "
+        "fault_seed=42"));
+    SocConfig pressure = parseConfig(splitOptions(
+        "mem=cache lanes=16 cache_kb=4 cache_ports=1 cache_mshrs=4 "
+        "fault_bus_resp=0.1 fault_seed=3"));
+    expectGolden(kGolden,
+                 {goldenLine("cache-faults", "md-knn", faults),
+                  goldenLine("cache-pressure", "stencil-stencil3d",
+                             pressure)});
 }
 
 } // namespace
