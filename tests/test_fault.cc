@@ -14,6 +14,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "accel/dddg.hh"
 #include "core/config_parse.hh"
@@ -424,6 +425,89 @@ TEST_F(FaultCacheFixture, ExhaustedMissIsFatalWithDiagnosis)
               Cache::Reject::None);
     EXPECT_THROW(eq.run(), FatalError);
     EXPECT_GE(cache.stats().get("retryExhausted"), 1.0);
+}
+
+/** Memory target that logs every request on its way to the DRAM. */
+struct RecordingTarget : public BusTarget
+{
+    explicit RecordingTarget(DramCtrl &d) : dram(d) {}
+
+    void
+    recvRequest(const Packet &pkt) override
+    {
+        seen.push_back(pkt);
+        dram.recvRequest(pkt);
+    }
+
+    DramCtrl &dram;
+    std::vector<Packet> seen;
+};
+
+/** A one-line cache holding a dirty line 0, whose next miss (to line
+ * 64) evicts it. Steps @p eq until that writeback is on the bus. */
+void
+startWriteback(EventQueue &eq, Cache &cache)
+{
+    ASSERT_EQ(cache.access(0, 4, /*isWrite=*/true, 1, 0).reject,
+              Cache::Reject::None);
+    eq.run();
+    ASSERT_EQ(cache.access(64, 4, false, 2, 0).reject,
+              Cache::Reject::None);
+    while (cache.stats().get("writebacks") < 1.0 && eq.step()) {
+    }
+    ASSERT_DOUBLE_EQ(cache.stats().get("writebacks"), 1.0);
+}
+
+Cache::Params
+oneLineCache()
+{
+    Cache::Params cp;
+    cp.sizeBytes = 64;
+    cp.assoc = 1;
+    return cp;
+}
+
+TEST_F(FaultCacheFixture, NackedWritebackIsReissuedUnderANewReqId)
+{
+    RecordingTarget target(dram);
+    bus.setTarget(&target);
+    Cache cache("c", eq, ClockDomain(period), bus, oneLineCache());
+    int completed = 0;
+    cache.setCallback([&](std::uint64_t, bool) { ++completed; });
+    startWriteback(eq, cache);
+
+    // NACK the writeback's WriteResp, then let the reissue through.
+    inject(FaultSite::BusResp, 1.0, /*maxRetries=*/4);
+    while (cache.stats().get("retries") < 1.0 && eq.step()) {
+    }
+    EXPECT_TRUE(cache.hasOutstanding());
+    eq.setFaultInjector(nullptr);
+    eq.run();
+
+    EXPECT_EQ(completed, 2);
+    EXPECT_DOUBLE_EQ(cache.stats().get("errors"), 1.0);
+    EXPECT_DOUBLE_EQ(cache.stats().get("retries"), 1.0);
+    EXPECT_FALSE(cache.hasOutstanding());
+    std::vector<Packet> writebacks;
+    for (const Packet &p : target.seen)
+        if (p.cmd == MemCmd::Writeback)
+            writebacks.push_back(p);
+    ASSERT_EQ(writebacks.size(), 2u);
+    EXPECT_EQ(writebacks[0].addr, 0u);
+    EXPECT_EQ(writebacks[1].addr, 0u);
+    EXPECT_NE(writebacks[0].reqId, writebacks[1].reqId);
+    bus.protocolChecker()->checkQuiescent();
+}
+
+TEST_F(FaultCacheFixture, ExhaustedWritebackIsFatal)
+{
+    Cache cache("c", eq, ClockDomain(period), bus, oneLineCache());
+    cache.setCallback([](std::uint64_t, bool) {});
+    startWriteback(eq, cache);
+    inject(FaultSite::BusResp, 1.0, /*maxRetries=*/2);
+    EXPECT_THROW(eq.run(), FatalError);
+    EXPECT_DOUBLE_EQ(cache.stats().get("retries"), 2.0);
+    EXPECT_DOUBLE_EQ(cache.stats().get("retryExhausted"), 1.0);
 }
 
 // ---------------------------------------------------------------

@@ -421,6 +421,69 @@ TEST_F(CacheFixture, AccessCrossingLineBoundaryPanics)
     EXPECT_DEATH(cache->access(62, 4, false, 1, 0), "crosses");
 }
 
+// The stride prefetcher, driven through the cache it fills.
+struct PrefetchFixture : public CacheFixture
+{
+    PrefetchFixture()
+    {
+        Cache::Params cp;
+        cp.prefetchEnabled = true;
+        cp.prefetchDegree = 3;
+        rebuild(cp);
+    }
+
+    /** One demand read on @p stream, run to quiescence. */
+    void
+    read(int stream, Addr addr)
+    {
+        ASSERT_EQ(cache->access(addr, 4, false, addr, stream).reject,
+                  Cache::Reject::None);
+        eq->run();
+    }
+
+    double prefetches() const { return cache->stats().get("prefetches"); }
+};
+
+TEST_F(PrefetchFixture, InterleavedStreamsKeepSeparateStrides)
+{
+    const Addr a = 0, b = 0x10000;
+    read(0, a);
+    read(1, b);
+    read(0, a + 256);
+    read(1, b + 128);
+    // Each stream has seen one stride, not yet a repeat.
+    EXPECT_DOUBLE_EQ(prefetches(), 0.0);
+
+    read(0, a + 512);
+    EXPECT_DOUBLE_EQ(prefetches(), 3.0);
+    read(1, b + 256);
+    EXPECT_DOUBLE_EQ(prefetches(), 6.0);
+
+    // `degree` strides ahead of each stream, and no further.
+    for (Addr ahead : {a + 768, a + 1024, a + 1280, b + 384, b + 512,
+                       b + 640})
+        EXPECT_EQ(cache->lineState(ahead), CoherenceState::Exclusive)
+            << ahead;
+    EXPECT_EQ(cache->lineState(a + 1536), CoherenceState::Invalid);
+    EXPECT_EQ(cache->lineState(b + 768), CoherenceState::Invalid);
+}
+
+TEST_F(PrefetchFixture, ZeroStrideIssuesNothing)
+{
+    for (int i = 0; i < 4; ++i)
+        read(0, 0x400);
+    EXPECT_DOUBLE_EQ(prefetches(), 0.0);
+
+    // A repeat of a confident stream's last address is no stride
+    // either.
+    read(1, 0x8000);
+    read(1, 0x8100);
+    read(1, 0x8200);
+    EXPECT_DOUBLE_EQ(prefetches(), 3.0);
+    read(1, 0x8200);
+    EXPECT_DOUBLE_EQ(prefetches(), 3.0);
+}
+
 // Two caches on one bus: MOESI coherence.
 struct CoherenceFixture : public ::testing::Test
 {
