@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 
 #include "sim/logging.hh"
 #include "trace/tracer.hh"
@@ -670,9 +671,11 @@ Datapath::tryIssueCacheAccess(NodeId n, unsigned lane)
     const TraceOp &op = trace.ops[n];
     Addr vaddr = arrayVBase[static_cast<std::size_t>(op.arrayId)] +
                  op.offset;
-    tlb->translate(vaddr, [this, n, lane](Addr paddr) {
-        sendCacheAccess(n, lane, paddr);
-    });
+    if (std::optional<Addr> paddr =
+            tlb->translate(vaddr, [this, n, lane](Addr pa) {
+                sendCacheAccess(n, lane, pa);
+            }))
+        sendCacheAccess(n, lane, *paddr);
     return IssueResult::Issued;
 }
 

@@ -52,10 +52,11 @@ SystemBus::sendRequest(BusPortId src, Packet pkt)
     GENIE_ASSERT(src >= 0 && static_cast<std::size_t>(src) <
                      clients.size(),
                  "bad bus port %d", src);
+    GENIE_ASSERT(!pkt.isResponse(), "sendRequest with a response cmd");
     pkt.src = src;
     if (checker)
         checker->onRequest(pkt);
-    reqQueues[static_cast<std::size_t>(src)].push_back({pkt, false});
+    reqQueues[static_cast<std::size_t>(src)].push_back(pkt);
     scheduleArbitration(clockEdge());
 }
 
@@ -78,7 +79,7 @@ SystemBus::sendResponse(Packet pkt)
     }
     if (checker)
         checker->onResponse(pkt);
-    respQueue.push_back({pkt, true});
+    respQueue.push_back(pkt);
     scheduleArbitration(clockEdge());
 }
 
@@ -122,10 +123,10 @@ SystemBus::arbitrate()
     if (depth > 0)
         statQueueDepth.sample(static_cast<double>(depth));
 
-    QueuedPacket qp;
+    Packet pkt;
     bool found = false;
     if (!respQueue.empty()) {
-        qp = respQueue.front();
+        pkt = respQueue.front();
         respQueue.pop_front();
         found = true;
     } else {
@@ -133,7 +134,7 @@ SystemBus::arbitrate()
         for (std::size_t i = 0; i < reqQueues.size() && !found; ++i) {
             std::size_t port = (rrNext + i) % reqQueues.size();
             if (!reqQueues[port].empty()) {
-                qp = reqQueues[port].front();
+                pkt = reqQueues[port].front();
                 reqQueues[port].pop_front();
                 rrNext = (port + 1) % reqQueues.size();
                 found = true;
@@ -143,20 +144,22 @@ SystemBus::arbitrate()
     if (!found)
         return;
 
-    Cycles occ = occupancyCycles(qp.pkt);
+    Cycles occ = occupancyCycles(pkt);
     Tick done = clockEdge(occ);
     if (Tracer *t = tracerFor(eventq, TraceCategory::Bus)) {
         t->complete(TraceCategory::Bus, name(),
-                    qp.isResponse ? "resp" : "req", now, done);
+                    pkt.isResponse() ? "resp" : "req", now, done);
     }
     statBusyTicks += static_cast<double>(done - now);
     busyUntil = done;
     ++statPackets;
-    if (cmdCarriesData(qp.pkt.cmd))
-        statDataBytes += qp.pkt.size;
+    if (cmdCarriesData(pkt.cmd))
+        statDataBytes += pkt.size;
 
-    eventq.scheduleFlow(done, [this, qp] { deliver(qp); },
-                        "bus.deliver");
+    eventq.scheduleFlowRaw(done, [](void *c, std::uint64_t slot) {
+        auto *self = static_cast<SystemBus *>(c);
+        self->deliver(self->inFlight.take(slot));
+    }, this, inFlight.put(pkt), "bus.deliver");
 
     // Let the next packet arbitrate once this transfer is done.
     bool more = !respQueue.empty();
@@ -167,19 +170,16 @@ SystemBus::arbitrate()
 }
 
 void
-SystemBus::deliver(const QueuedPacket &qp)
+SystemBus::deliver(const Packet &pkt)
 {
-    if (qp.isResponse) {
-        GENIE_ASSERT(qp.pkt.src >= 0 &&
-                         static_cast<std::size_t>(qp.pkt.src) <
+    if (pkt.isResponse()) {
+        GENIE_ASSERT(pkt.src >= 0 &&
+                         static_cast<std::size_t>(pkt.src) <
                              clients.size(),
-                     "response to bad port %d", qp.pkt.src);
-        clients[static_cast<std::size_t>(qp.pkt.src)]
-            ->recvResponse(qp.pkt);
+                     "response to bad port %d", pkt.src);
+        clients[static_cast<std::size_t>(pkt.src)]->recvResponse(pkt);
         return;
     }
-
-    const Packet &pkt = qp.pkt;
 
     // Snoop phase for coherent requests.
     SnoopResult snoop;
@@ -206,9 +206,11 @@ SystemBus::deliver(const QueuedPacket &qp)
         Packet resp = pkt.makeResponse();
         resp.cacheToCache = true;
         resp.sharerPresent = true;
-        eventq.scheduleFlowIn(snoop.supplyLatency,
-                          [this, resp] { sendResponse(resp); },
-                          "bus.snoopSupply");
+        eventq.scheduleFlowRawIn(
+            snoop.supplyLatency, [](void *c, std::uint64_t slot) {
+                auto *self = static_cast<SystemBus *>(c);
+                self->sendResponse(self->inFlight.take(slot));
+            }, this, inFlight.put(resp), "bus.snoopSupply");
         return;
     }
 

@@ -27,6 +27,7 @@
 #include "mem/protocol_checker.hh"
 #include "sim/clocked.hh"
 #include "sim/sim_object.hh"
+#include "sim/slot_table.hh"
 
 namespace genie
 {
@@ -106,12 +107,6 @@ class SystemBus : public SimObject, public Clocked
     ProtocolChecker *protocolChecker() { return checker.get(); }
 
   private:
-    struct QueuedPacket
-    {
-        Packet pkt;
-        bool isResponse;
-    };
-
     /** Bus data-transfer occupancy for @p pkt, in bus cycles. */
     Cycles occupancyCycles(const Packet &pkt) const;
 
@@ -119,7 +114,7 @@ class SystemBus : public SimObject, public Clocked
     void arbitrate();
 
     /** Complete delivery of an in-flight packet. */
-    void deliver(const QueuedPacket &qp);
+    void deliver(const Packet &pkt);
 
     void scheduleArbitration(Tick when);
 
@@ -132,9 +127,13 @@ class SystemBus : public SimObject, public Clocked
     // Responses get a dedicated queue with priority over requests to
     // avoid protocol deadlock; requests use per-port queues served
     // round-robin.
-    std::deque<QueuedPacket> respQueue;
-    std::vector<std::deque<QueuedPacket>> reqQueues;
+    std::deque<Packet> respQueue;
+    std::vector<std::deque<Packet>> reqQueues;
     std::size_t rrNext = 0;
+
+    /** Packets in flight to a bus.deliver or bus.snoopSupply event,
+     * whose argument word is the slot. */
+    SlotTable<Packet> inFlight;
 
     Tick busyUntil = 0;
     bool arbitrationScheduled = false;

@@ -43,10 +43,12 @@ Cache::Cache(std::string name, EventQueue &eq, ClockDomain domain,
         fatal("cache line size must be a power of two");
     if (params.sizeBytes % (params.lineBytes * params.assoc) != 0)
         fatal("cache size must be divisible by line size * assoc");
-    numSets = params.sizeBytes / (params.lineBytes * params.assoc);
+    const Addr numSets = params.sizeBytes / (params.lineBytes * params.assoc);
     if (!isPowerOf2(numSets))
         fatal("cache set count must be a power of two");
-    sets.assign(numSets, std::vector<Line>(params.assoc));
+    lines.assign(numSets * params.assoc, Line{});
+    lineShift = floorLog2(params.lineBytes);
+    setMask = numSets - 1;
     busPort = bus.attachClient(this, /*snooper=*/true);
     eq.registerStats(stats());
     if (params.prefetchEnabled) {
@@ -57,20 +59,19 @@ Cache::Cache(std::string name, EventQueue &eq, ClockDomain domain,
 
 Cache::~Cache() = default;
 
-std::size_t
-Cache::setIndex(Addr line_addr) const
+Cache::Line *
+Cache::setOf(Addr line_addr)
 {
-    return static_cast<std::size_t>(line_addr / params.lineBytes) %
-           numSets;
+    return &lines[((line_addr >> lineShift) & setMask) * params.assoc];
 }
 
 Cache::Line *
 Cache::findLine(Addr line_addr)
 {
-    auto &set = sets[setIndex(line_addr)];
-    for (auto &line : set) {
-        if (stateValid(line.state) && line.tag == line_addr)
-            return &line;
+    Line *set = setOf(line_addr);
+    for (Line *line = set; line != set + params.assoc; ++line) {
+        if (stateValid(line->state) && line->tag == line_addr)
+            return line;
     }
     return nullptr;
 }
@@ -130,9 +131,8 @@ Cache::access(Addr addr, unsigned size, bool isWrite,
         ++statDataAccesses;
         if (isWrite) ++statWrites; else ++statReads;
         ++statHits;
-        scheduleCycles(params.hitLatency,
-                       [this, reqId] { callback(reqId, true); },
-                       "cache.hit");
+        scheduleCyclesRaw(params.hitLatency, &Cache::respondHit, this,
+                          reqId, "cache.hit");
         return {Reject::None, true};
     }
 
@@ -163,9 +163,8 @@ Cache::access(Addr addr, unsigned size, bool isWrite,
         touch(*line);
         if (prefetcher)
             prefetcher->notify(streamId, addr);
-        scheduleCycles(params.hitLatency,
-                       [this, reqId] { callback(reqId, true); },
-                       "cache.hit");
+        scheduleCyclesRaw(params.hitLatency, &Cache::respondHit, this,
+                          reqId, "cache.hit");
         return {Reject::None, true};
     }
 
@@ -185,28 +184,33 @@ bool
 Cache::handleMiss(Addr line_addr, bool isWrite, std::uint64_t reqId,
                   bool isPrefetch)
 {
-    auto it = mshrByLine.find(line_addr);
-    if (it != mshrByLine.end()) {
+    if (Mshr *mshr = mshrForLine(line_addr)) {
         // Coalesce into the existing MSHR.
-        Mshr &mshr = mshrTable.at(it->second);
         if (!isPrefetch) {
-            mshr.targets.push_back({reqId, isWrite});
-            mshr.wantExclusive = mshr.wantExclusive || isWrite;
-            mshr.isPrefetch = false;
+            mshr->targets.push_back(reqId);
+            mshr->wantExclusive = mshr->wantExclusive || isWrite;
+            mshr->isPrefetch = false;
             ++statMshrCoalesced;
         }
         return true;
     }
 
-    if (mshrTable.size() >= params.mshrs)
+    if (liveMshrs >= params.mshrs)
         return false;
 
-    Mshr mshr;
+    // Reuse a free slot (reqId 0), or grow the file by one: at most
+    // params.mshrs slots ever exist.
+    Mshr *spare = findMshr(0);
+    Mshr &mshr = spare ? *spare : mshrs.emplace_back();
     mshr.lineAddr = line_addr;
     mshr.wantExclusive = isWrite;
+    mshr.isUpgrade = false;
     mshr.isPrefetch = isPrefetch;
+    mshr.targets.clear();
     if (!isPrefetch)
-        mshr.targets.push_back({reqId, isWrite});
+        mshr.targets.push_back(reqId);
+    mshr.retries = 0;
+    mshr.traceSpan = invalidTraceSpan;
 
     // A write to a line we already hold in S or O needs only an
     // ownership upgrade, not a data fetch.
@@ -226,21 +230,39 @@ Cache::handleMiss(Addr line_addr, bool isWrite, std::uint64_t reqId,
         mshr.traceSpan = t->begin(TraceCategory::Cache, name(), what);
     }
 
-    std::uint64_t busReqId = nextBusReqId++;
-    auto [mit, ok] = mshrTable.emplace(busReqId, std::move(mshr));
-    GENIE_ASSERT(ok, "duplicate bus reqId");
-    mshrByLine.emplace(line_addr, busReqId);
-    issueMshr(busReqId, mit->second);
+    mshr.reqId = nextBusReqId++;
+    ++liveMshrs;
+    issueMshr(mshr);
     return true;
 }
 
+Cache::Mshr *
+Cache::findMshr(std::uint64_t reqId)
+{
+    for (Mshr &m : mshrs) {
+        if (m.reqId == reqId)
+            return &m;
+    }
+    return nullptr;
+}
+
+Cache::Mshr *
+Cache::mshrForLine(Addr line_addr)
+{
+    for (Mshr &m : mshrs) {
+        if (m.reqId != 0 && m.lineAddr == line_addr)
+            return &m;
+    }
+    return nullptr;
+}
+
 void
-Cache::issueMshr(std::uint64_t mshrId, const Mshr &mshr)
+Cache::issueMshr(const Mshr &mshr)
 {
     Packet pkt;
     pkt.addr = mshr.lineAddr;
     pkt.size = params.lineBytes;
-    pkt.reqId = mshrId;
+    pkt.reqId = mshr.reqId;
     pkt.isPrefetch = mshr.isPrefetch;
     if (mshr.isUpgrade)
         pkt.cmd = MemCmd::Upgrade;
@@ -254,15 +276,15 @@ Cache::issueMshr(std::uint64_t mshrId, const Mshr &mshr)
 Cache::Line &
 Cache::allocateLine(Addr line_addr)
 {
-    auto &set = sets[setIndex(line_addr)];
+    Line *set = setOf(line_addr);
     Line *victim = nullptr;
-    for (auto &line : set) {
-        if (!stateValid(line.state) && !line.hasPendingMshr)
-            return line;
-        if (line.hasPendingMshr)
+    for (Line *line = set; line != set + params.assoc; ++line) {
+        if (!stateValid(line->state) && !line->hasPendingMshr)
+            return *line;
+        if (line->hasPendingMshr)
             continue; // never evict a line with an MSHR in flight
-        if (!victim || line.lastUse < victim->lastUse)
-            victim = &line;
+        if (!victim || line->lastUse < victim->lastUse)
+            victim = line;
     }
     GENIE_ASSERT(victim != nullptr, "no evictable way in set");
     evict(*victim, victim->tag);
@@ -280,8 +302,7 @@ Cache::evict(Line &line, Addr line_addr)
         pkt.addr = line_addr;
         pkt.size = params.lineBytes;
         pkt.reqId = nextBusReqId++;
-        ++outstandingWritebacks;
-        writebackRetries.emplace(pkt.reqId, 0u);
+        writebacks.push_back({pkt.reqId, 0});
         bus.sendRequest(busPort, pkt);
     }
     transition(line, CoherenceState::Invalid, CoherenceEvent::Evict);
@@ -295,21 +316,17 @@ Cache::recvResponse(const Packet &pkt)
         return;
     }
 
-    auto it = mshrTable.find(pkt.reqId);
-    if (it == mshrTable.end()) {
+    Mshr *found = findMshr(pkt.reqId);
+    if (!found) {
         // Writeback acknowledgment.
         GENIE_ASSERT(pkt.cmd == MemCmd::WriteResp,
                      "unexpected response with no MSHR");
-        GENIE_ASSERT(outstandingWritebacks > 0,
-                     "writeback ack with none outstanding");
-        --outstandingWritebacks;
-        writebackRetries.erase(pkt.reqId);
+        takeWriteback(pkt.reqId);
         return;
     }
-
-    Mshr mshr = std::move(it->second);
-    mshrTable.erase(it);
-    mshrByLine.erase(mshr.lineAddr);
+    // Nothing below re-enters the MSHR file, so the slot stays put
+    // until it is freed at the end.
+    Mshr &mshr = *found;
 
     if (Tracer *t = eventq.tracer())
         t->end(mshr.traceSpan);
@@ -351,14 +368,33 @@ Cache::recvResponse(const Packet &pkt)
     }
     touch(*line);
 
-    if (mshr.isPrefetch && mshr.targets.empty())
-        return;
-
-    for (const auto &t : mshr.targets) {
-        scheduleCycles(params.responseLatency, [this, t] {
-            respondToTarget(t, false);
-        }, "cache.fillResponse");
+    for (std::uint64_t target : mshr.targets) {
+        scheduleCyclesRaw(params.responseLatency, &Cache::respondFill,
+                          this, target, "cache.fillResponse");
     }
+    freeMshr(mshr);
+}
+
+void
+Cache::freeMshr(Mshr &mshr)
+{
+    mshr.reqId = 0;
+    --liveMshrs;
+}
+
+unsigned
+Cache::takeWriteback(std::uint64_t reqId)
+{
+    for (Writeback &wb : writebacks) {
+        if (wb.reqId == reqId) {
+            const unsigned retries = wb.retries;
+            wb = writebacks.back();
+            writebacks.pop_back();
+            return retries;
+        }
+    }
+    panic("%s: response for unknown reqId %llu", name().c_str(),
+          (unsigned long long)reqId);
 }
 
 void
@@ -367,16 +403,11 @@ Cache::handleErrorResponse(const Packet &pkt)
     ++statErrors;
     const unsigned maxRetries = faultMaxRetries(eventq);
 
-    auto it = mshrTable.find(pkt.reqId);
-    if (it == mshrTable.end()) {
+    Mshr *found = findMshr(pkt.reqId);
+    if (!found) {
         // A failed writeback: the dirty data must still reach memory,
         // so reissue under the same bounded backoff as misses.
-        auto wit = writebackRetries.find(pkt.reqId);
-        GENIE_ASSERT(wit != writebackRetries.end(),
-                     "error response for unknown reqId %llu",
-                     (unsigned long long)pkt.reqId);
-        unsigned attempt = wit->second;
-        writebackRetries.erase(wit);
+        const unsigned attempt = takeWriteback(pkt.reqId);
         if (attempt >= maxRetries) {
             ++statRetryExhausted;
             fatal("%s: writeback of line %#llx still failing after "
@@ -389,7 +420,7 @@ Cache::handleErrorResponse(const Packet &pkt)
         const Addr addr = pkt.addr;
         const unsigned size = pkt.size;
         const std::uint64_t newId = nextBusReqId++;
-        writebackRetries.emplace(newId, attempt + 1);
+        writebacks.push_back({newId, attempt + 1});
         scheduleCycles(
             static_cast<Cycles>(faultBackoffCycles(eventq, attempt)),
             [this, addr, size, newId] {
@@ -404,14 +435,12 @@ Cache::handleErrorResponse(const Packet &pkt)
         return;
     }
 
-    Mshr &mshr = it->second;
+    Mshr &mshr = *found;
     if (mshr.isPrefetch && mshr.targets.empty()) {
         // A failed prefetch is just a dropped hint; no reissue.
-        Mshr dead = std::move(mshr);
-        mshrTable.erase(it);
-        mshrByLine.erase(dead.lineAddr);
         if (Tracer *t = eventq.tracer())
-            t->end(dead.traceSpan);
+            t->end(mshr.traceSpan);
+        freeMshr(mshr);
         return;
     }
 
@@ -430,30 +459,32 @@ Cache::handleErrorResponse(const Packet &pkt)
     // it; no response can arrive for the new id until issueMshr runs.
     const unsigned attempt = mshr.retries++;
     ++statRetries;
-    Mshr moved = std::move(mshr);
-    mshrTable.erase(it);
     const std::uint64_t newId = nextBusReqId++;
-    mshrByLine[moved.lineAddr] = newId;
-    auto [nit, ok] = mshrTable.emplace(newId, std::move(moved));
-    GENIE_ASSERT(ok, "duplicate bus reqId");
-    (void)nit;
+    mshr.reqId = newId;
     scheduleCycles(
         static_cast<Cycles>(faultBackoffCycles(eventq, attempt)),
         [this, newId] {
-            auto rit = mshrTable.find(newId);
-            GENIE_ASSERT(rit != mshrTable.end(),
+            const Mshr *retried = findMshr(newId);
+            GENIE_ASSERT(retried != nullptr,
                          "retried MSHR %llu vanished during backoff",
                          (unsigned long long)newId);
-            issueMshr(newId, rit->second);
+            issueMshr(*retried);
         },
         "cache.retryMiss");
 }
 
 void
-Cache::respondToTarget(const MshrTarget &t, bool hit)
+Cache::respondHit(void *self, std::uint64_t reqId)
 {
-    ++statDataAccesses;
-    callback(t.reqId, hit);
+    static_cast<Cache *>(self)->callback(reqId, true);
+}
+
+void
+Cache::respondFill(void *self, std::uint64_t reqId)
+{
+    auto *cache = static_cast<Cache *>(self);
+    ++cache->statDataAccesses;
+    cache->callback(reqId, false);
 }
 
 SnoopResult
@@ -522,15 +553,15 @@ Cache::prefill(Addr base, std::uint64_t len, bool dirty)
          a += params.lineBytes) {
         Line *line = findLine(a);
         if (!line) {
-            auto &set = sets[setIndex(a)];
-            Line *victim = &set[0];
-            for (auto &cand : set) {
-                if (!stateValid(cand.state)) {
-                    victim = &cand;
+            Line *set = setOf(a);
+            Line *victim = set;
+            for (Line *cand = set; cand != set + params.assoc; ++cand) {
+                if (!stateValid(cand->state)) {
+                    victim = cand;
                     break;
                 }
-                if (cand.lastUse < victim->lastUse)
-                    victim = &cand;
+                if (cand->lastUse < victim->lastUse)
+                    victim = cand;
             }
             victim->tag = a;
             victim->hasPendingMshr = false;
@@ -590,7 +621,7 @@ Cache::lineState(Addr addr) const
 bool
 Cache::hasOutstanding() const
 {
-    return !mshrTable.empty() || outstandingWritebacks > 0;
+    return liveMshrs != 0 || !writebacks.empty();
 }
 
 double
@@ -608,12 +639,12 @@ Cache::tryPrefetch(Addr line_addr)
     Line *line = findLine(line_addr);
     if (line)
         return; // already present
-    if (mshrByLine.count(line_addr))
+    if (mshrForLine(line_addr))
         return; // already being fetched
     // Throttle: keep a reserve of MSHRs for demand misses so
     // prefetch streams never starve the datapath.
     constexpr unsigned demandReserve = 4;
-    if (mshrTable.size() + demandReserve >= params.mshrs)
+    if (liveMshrs + demandReserve >= params.mshrs)
         return;
     ++statPrefetches;
     handleMiss(line_addr, /*isWrite=*/false, /*reqId=*/0,

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/bus.hh"
@@ -119,7 +118,7 @@ class Cache : public SimObject, public BusClient, public Clocked
     bool hasOutstanding() const;
 
     /** Live MSHRs (demand + prefetch), for watchdog diagnostics. */
-    std::size_t outstandingMisses() const { return mshrTable.size(); }
+    std::size_t outstandingMisses() const { return liveMshrs; }
 
     unsigned lineBytes() const { return params.lineBytes; }
     unsigned sizeBytes() const { return params.sizeBytes; }
@@ -138,19 +137,19 @@ class Cache : public SimObject, public BusClient, public Clocked
         bool wasPrefetched = false;
     };
 
-    struct MshrTarget
-    {
-        std::uint64_t reqId;
-        bool isWrite;
-    };
-
+    /** One miss status holding register. Slots are reused, so a
+     * fresh MSHR keeps its targets' capacity. */
     struct Mshr
     {
+        /** Bus reqId of the outstanding request; 0 marks a free
+         * slot (bus reqIds start at 1). */
+        std::uint64_t reqId = 0;
         Addr lineAddr = 0;
         bool wantExclusive = false;
         bool isUpgrade = false;
         bool isPrefetch = false;
-        std::vector<MshrTarget> targets;
+        /** Demand reqIds waiting on the fill. */
+        std::vector<std::uint64_t> targets;
         /** Reissues performed after error responses. */
         unsigned retries = 0;
         /** Tick the miss went out on the bus (for latency stats). */
@@ -159,8 +158,17 @@ class Cache : public SimObject, public BusClient, public Clocked
         TraceSpanId traceSpan = invalidTraceSpan;
     };
 
+    /** One in-flight writeback and the reissues it took so far. */
+    struct Writeback
+    {
+        std::uint64_t reqId;
+        unsigned retries;
+    };
+
     Addr lineAddr(Addr addr) const { return alignDown(addr, params.lineBytes); }
-    std::size_t setIndex(Addr line_addr) const;
+
+    /** The first of the @c assoc ways of @p line_addr's set. */
+    Line *setOf(Addr line_addr);
 
     Line *findLine(Addr line_addr);
     const Line *findLine(Addr line_addr) const;
@@ -184,8 +192,21 @@ class Cache : public SimObject, public BusClient, public Clocked
     bool handleMiss(Addr line_addr, bool isWrite, std::uint64_t reqId,
                     bool isPrefetch);
 
+    /** The live MSHR waiting on bus reqId @p reqId, or null. */
+    Mshr *findMshr(std::uint64_t reqId);
+
+    /** The live MSHR for line @p line_addr, or null. */
+    Mshr *mshrForLine(Addr line_addr);
+
+    /** Return @p mshr's slot to the free pool. */
+    void freeMshr(Mshr &mshr);
+
+    /** Remove in-flight writeback @p reqId (it must exist).
+     * @return the reissues it took so far. */
+    unsigned takeWriteback(std::uint64_t reqId);
+
     /** Send the bus request for a fresh MSHR. */
-    void issueMshr(std::uint64_t mshrId, const Mshr &mshr);
+    void issueMshr(const Mshr &mshr);
 
     /** Handle an ErrorResp: reissue the MSHR or writeback under the
      * bounded-backoff retry policy, or fail the run when the budget
@@ -195,7 +216,9 @@ class Cache : public SimObject, public BusClient, public Clocked
     /** Evict (and possibly write back) @p line. */
     void evict(Line &line, Addr line_addr);
 
-    void respondToTarget(const MshrTarget &t, bool hit);
+    /** Raw-dispatch completions: @p reqId hit, or its fill arrived. */
+    static void respondHit(void *self, std::uint64_t reqId);
+    static void respondFill(void *self, std::uint64_t reqId);
 
     friend class StridePrefetcher;
     /** Prefetcher hook: try to fetch @p line_addr into the cache. */
@@ -206,18 +229,23 @@ class Cache : public SimObject, public BusClient, public Clocked
     BusPortId busPort = invalidBusPort;
     AccessCallback callback;
 
-    std::size_t numSets = 0;
-    std::vector<std::vector<Line>> sets;
+    /** The tag array: numSets sets of assoc ways, set-major. Both
+     * the line size and the set count are powers of two, so a line's
+     * set is a shift and a mask. */
+    std::vector<Line> lines;
+    unsigned lineShift = 0;
+    Addr setMask = 0;
     std::uint64_t useCounter = 0;
 
     // Outstanding transactions, keyed by our own bus reqIds.
     std::uint64_t nextBusReqId = 1;
-    std::unordered_map<std::uint64_t, Mshr> mshrTable;   // reqId -> MSHR
-    std::unordered_map<Addr, std::uint64_t> mshrByLine;  // line -> reqId
-    unsigned outstandingWritebacks = 0;
-    /** In-flight writebacks: reqId -> reissues so far. Needed to
-     * retry a writeback whose WriteResp came back as an error. */
-    std::unordered_map<std::uint64_t, unsigned> writebackRetries;
+    /** The MSHR file: at most params.mshrs slots, grown on demand,
+     * searched by reqId or by line. */
+    std::vector<Mshr> mshrs;
+    std::size_t liveMshrs = 0;
+    /** In-flight writebacks, kept to retry one whose WriteResp came
+     * back as an error. */
+    std::vector<Writeback> writebacks;
 
     // Per-cycle port accounting.
     mutable Cycles portCycleStamp = 0;

@@ -137,16 +137,18 @@ DramCtrl::trySchedule()
             t->complete(TraceCategory::Dram, name(), service, now,
                         now + latency);
         }
-        eventq.scheduleFlowIn(latency, [this, req] { finish(req); },
-                          "dram.finish");
+        eventq.scheduleFlowRawIn(latency, [](void *c, std::uint64_t slot) {
+            auto *self = static_cast<DramCtrl *>(c);
+            self->finish(self->inService.take(slot));
+        }, this, inService.put(req.pkt), "dram.finish");
     }
 }
 
 void
-DramCtrl::finish(const Request &req)
+DramCtrl::finish(const Packet &pkt)
 {
-    bool isRead = req.pkt.cmd == MemCmd::ReadShared ||
-                  req.pkt.cmd == MemCmd::ReadExclusive;
+    bool isRead = pkt.cmd == MemCmd::ReadShared ||
+                  pkt.cmd == MemCmd::ReadExclusive;
 
     // Fault site: the read completes with an uncorrectable error —
     // full access latency was paid, but the requester gets an
@@ -155,7 +157,7 @@ DramCtrl::finish(const Request &req)
         if (FaultInjector *fi = eventq.faultInjector();
             fi && fi->shouldFault(FaultSite::DramRead)) {
             ++statReadErrors;
-            bus.sendResponse(req.pkt.makeError());
+            bus.sendResponse(pkt.makeError());
             trySchedule();
             return;
         }
@@ -166,11 +168,10 @@ DramCtrl::finish(const Request &req)
     else
         ++statWrites;
 
-    Packet resp = req.pkt.makeResponse();
-    // Writebacks are fire-and-forget from the cache's perspective, but
-    // we still generate the response so requesters can drain; the cache
-    // ignores Writeback WriteResp packets it did not register.
-    bus.sendResponse(resp);
+    // Writes are acknowledged too: a cache holds each writeback until
+    // its WriteResp arrives, and reissues it if that comes back as an
+    // error.
+    bus.sendResponse(pkt.makeResponse());
 
     trySchedule();
 }

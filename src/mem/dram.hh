@@ -18,6 +18,7 @@
 #include "mem/packet.hh"
 #include "sim/clocked.hh"
 #include "sim/sim_object.hh"
+#include "sim/slot_table.hh"
 
 namespace genie
 {
@@ -79,12 +80,15 @@ class DramCtrl : public SimObject, public BusTarget, public Clocked
     void kick(Tick when);
 
     /** Finish one request: respond via the bus. */
-    void finish(const Request &req);
+    void finish(const Packet &pkt);
 
     Params params;
     SystemBus &bus;
     std::vector<Bank> banks;
     std::deque<Request> queue;
+    /** Requests in service, waiting for their dram.finish event,
+     * whose argument word is the slot. */
+    SlotTable<Packet> inService;
     Tick nextIssueAt = 0;
     Tick pendingKickAt = maxTick;
 

@@ -1,6 +1,7 @@
 #include "prefetcher.hh"
 
 #include "mem/cache.hh"
+#include "sim/logging.hh"
 
 namespace genie
 {
@@ -8,7 +9,11 @@ namespace genie
 void
 StridePrefetcher::notify(int streamId, Addr addr)
 {
-    StreamEntry &e = table[streamId];
+    GENIE_ASSERT(streamId >= 0, "prefetch stream id %d", streamId);
+    const auto id = static_cast<std::size_t>(streamId);
+    if (id >= table.size())
+        table.resize(id + 1);
+    StreamEntry &e = table[id];
     if (!e.primed) {
         e.lastAddr = addr;
         e.primed = true;

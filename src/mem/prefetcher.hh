@@ -12,7 +12,7 @@
 #define GENIE_MEM_PREFETCHER_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/types.hh"
 
@@ -42,7 +42,8 @@ class StridePrefetcher
 
     Cache &cache;
     unsigned degree;
-    std::unordered_map<int, StreamEntry> table;
+    /** Stream entries indexed by array id, grown on first use. */
+    std::vector<StreamEntry> table;
 };
 
 } // namespace genie

@@ -69,20 +69,26 @@ AladdinTlb::insert(Addr page, Addr frame)
     victim->lastUse = ++useCounter;
 }
 
-bool
-AladdinTlb::translate(Addr vaddr, TranslateCallback cb)
+std::optional<Addr>
+AladdinTlb::lookup(Addr vaddr)
 {
     Addr page = vpn(vaddr);
-    Addr offset = vaddr % params.pageBytes;
-
     for (auto &e : entries) {
         if (e.valid && e.vpn == page) {
             e.lastUse = ++useCounter;
             ++statHits;
-            cb(params.physBase + e.pfn * params.pageBytes + offset);
-            return true;
+            return params.physBase + e.pfn * params.pageBytes +
+                   vaddr % params.pageBytes;
         }
     }
+    return std::nullopt;
+}
+
+void
+AladdinTlb::walk(Addr vaddr, TranslateCallback cb)
+{
+    Addr page = vpn(vaddr);
+    Addr offset = vaddr % params.pageBytes;
 
     ++statMisses;
 
@@ -91,7 +97,7 @@ AladdinTlb::translate(Addr vaddr, TranslateCallback cb)
     if (pending != pendingWalks.end()) {
         ++statWalksCoalesced;
         pending->second.emplace_back(offset, std::move(cb));
-        return false;
+        return;
     }
 
     pendingWalks[page].emplace_back(offset, std::move(cb));
@@ -133,7 +139,6 @@ AladdinTlb::translate(Addr vaddr, TranslateCallback cb)
                      off);
         }
     }, "tlb.walk");
-    return false;
 }
 
 Addr

@@ -19,8 +19,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/clocked.hh"
@@ -47,12 +49,21 @@ class AladdinTlb : public SimObject, public Clocked
                Params params);
 
     /**
-     * Translate trace address @p vaddr. On a hit the callback runs
-     * immediately (zero added latency); on a miss it runs after the
-     * page-walk penalty.
-     * @return true on hit.
+     * Translate trace address @p vaddr. A hit returns the physical
+     * address at once (zero added latency). A miss returns
+     * std::nullopt and parks @p onMiss, which runs with the physical
+     * address after the page-walk penalty; only a miss turns it into
+     * a TranslateCallback.
      */
-    bool translate(Addr vaddr, TranslateCallback cb);
+    template <typename OnMiss>
+    std::optional<Addr>
+    translate(Addr vaddr, OnMiss &&onMiss)
+    {
+        if (std::optional<Addr> paddr = lookup(vaddr))
+            return paddr;
+        walk(vaddr, TranslateCallback(std::forward<OnMiss>(onMiss)));
+        return std::nullopt;
+    }
 
     /** Functional translation with no timing side effects. */
     Addr translateFunctional(Addr vaddr);
@@ -72,6 +83,14 @@ class AladdinTlb : public SimObject, public Clocked
     };
 
     Addr vpn(Addr vaddr) const { return vaddr / params.pageBytes; }
+
+    /** The hit half of translate(): the physical address if an entry
+     * maps @p vaddr's page (counted as a hit), else std::nullopt. */
+    std::optional<Addr> lookup(Addr vaddr);
+
+    /** The miss half of translate(): count the miss and park @p cb
+     * on a new or in-flight page walk. */
+    void walk(Addr vaddr, TranslateCallback cb);
 
     /** Look up / lazily allocate the physical frame for a page. */
     Addr frameOf(Addr vpn);

@@ -42,17 +42,9 @@ EventId
 EventQueue::scheduleImpl(Tick when, std::function<void()> action,
                          const char *kind, std::uint64_t flowFrom)
 {
-    std::uint32_t slot;
-    if (!freeActions.empty()) {
-        slot = freeActions.back();
-        freeActions.pop_back();
-        actions[slot] = std::move(action);
-    } else {
-        slot = static_cast<std::uint32_t>(actions.size());
-        actions.push_back(std::move(action));
-    }
-    return scheduleRawImpl(when, &EventQueue::runAction, this, slot,
-                           kind, flowFrom);
+    return scheduleRawImpl(when, &EventQueue::runAction, this,
+                           actions.put(std::move(action)), kind,
+                           flowFrom);
 }
 
 EventId
@@ -78,17 +70,9 @@ EventQueue::runAction(void *ctx, std::uint64_t arg)
     // Move the payload out and free its slot before invoking it: the
     // handler may schedule more std::function events, which can reuse
     // the slot or grow (and so move) the table.
-    auto *q = static_cast<EventQueue *>(ctx);
-    std::function<void()> action = std::move(q->actions[arg]);
-    q->freeAction(arg);
+    std::function<void()> action =
+        static_cast<EventQueue *>(ctx)->actions.take(arg);
     action();
-}
-
-void
-EventQueue::freeAction(std::uint64_t slot)
-{
-    actions[slot] = nullptr;
-    freeActions.push_back(static_cast<std::uint32_t>(slot));
 }
 
 void
@@ -107,7 +91,7 @@ EventQueue::deschedule(EventId id)
         if (e.fn == nullptr)
             return;
         if (e.fn == &EventQueue::runAction)
-            freeAction(e.arg);
+            actions.take(e.arg); // destroys the captures
         e.fn = nullptr;
         --liveEvents;
         return;

@@ -16,13 +16,18 @@
  * The pending set is one std::vector binary min-heap that holds each
  * event by value, keyed inline on (when, seq), so a sift never chases
  * a pointer. Every event dispatches as fn(ctx, arg). Schedule sites
- * on the hot kinds (accel.tick, accel.nodeComplete, cpu.step,
- * bus.deliver, dram.finish) pass the function pointer and context
- * word themselves (scheduleFlowRaw()/...). A std::function action is
- * parked in a side table of payload slots and scheduled as a raw
- * event whose arg is the slot index. A null fn marks a cancelled
- * event: deschedule() scans the heap, clears fn and frees the
- * payload, and cancelled events are dropped when they reach the top.
+ * on the hot kinds pass the function pointer and context word
+ * themselves (scheduleFlowRaw()/...): the datapath's accel.tick,
+ * accel.nodeComplete and accel.drainCheck, the driver CPU's steps,
+ * and on the memory path cache.hit, cache.fillResponse,
+ * bus.arbitrate, bus.deliver, bus.snoopSupply, dram.kick and
+ * dram.finish. A payload larger than the one argument word waits in
+ * a SlotTable owned by the scheduling component (sim/slot_table.hh),
+ * and the slot index is the arg. A std::function action is parked
+ * the same way, in the queue's own slot table. A null fn marks a
+ * cancelled event: deschedule() scans the heap, clears fn and frees
+ * the payload, and cancelled events are dropped when they reach the
+ * top.
  */
 
 #ifndef GENIE_SIM_EVENT_QUEUE_HH
@@ -32,6 +37,7 @@
 #include <functional>
 #include <vector>
 
+#include "sim/slot_table.hh"
 #include "sim/types.hh"
 
 namespace genie
@@ -352,9 +358,6 @@ class EventQueue
      * slot. */
     static void runAction(void *ctx, std::uint64_t arg);
 
-    /** Release payload slot @p slot, destroying its captures. */
-    void freeAction(std::uint64_t slot);
-
     /** Remove the top of the heap. */
     void popTop() const;
 
@@ -380,9 +383,8 @@ class EventQueue
     /** The pending set, a min-heap under Later. Mutable because
      * nextTick() drops cancelled events off its top. */
     mutable std::vector<Event> pending;
-    /** std::function payloads by slot, and the free slots. */
-    std::vector<std::function<void()>> actions;
-    std::vector<std::uint32_t> freeActions;
+    /** std::function payloads by slot. */
+    SlotTable<std::function<void()>> actions;
 };
 
 } // namespace genie

@@ -529,7 +529,7 @@ TEST(FaultTlb, WalkTimeoutsAddFullWalkLatencies)
     Tick doneAt = 0;
     bool hit = tlb.translate(0x1234, [&](Addr) {
         doneAt = eq.curTick();
-    });
+    }).has_value();
     EXPECT_FALSE(hit);
     eq.run();
     // rate 1.0 burns the whole budget: (1 + maxRetries) full walks.

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "mem/bus.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
@@ -570,9 +572,9 @@ struct TlbFixture : public ::testing::Test
 
 TEST_F(TlbFixture, FirstTouchMissesThenHits)
 {
-    bool hit1 = tlb.translate(0x1234, [](Addr) {});
+    bool hit1 = tlb.translate(0x1234, [](Addr) {}).has_value();
     eq.run();
-    bool hit2 = tlb.translate(0x1238, [](Addr) {});
+    bool hit2 = tlb.translate(0x1238, [](Addr) {}).has_value();
     EXPECT_FALSE(hit1);
     EXPECT_TRUE(hit2);
 }
@@ -587,11 +589,12 @@ TEST_F(TlbFixture, MissPaysConfiguredLatency)
 
 TEST_F(TlbFixture, TranslationIsStableAndPageAligned)
 {
-    Addr p1 = 0, p2 = 0;
+    Addr p1 = 0;
     tlb.translate(0x1000, [&](Addr pa) { p1 = pa; });
     eq.run();
-    tlb.translate(0x1004, [&](Addr pa) { p2 = pa; });
-    EXPECT_EQ(p2, p1 + 4);
+    std::optional<Addr> p2 = tlb.translate(0x1004, [](Addr) {});
+    ASSERT_TRUE(p2.has_value());
+    EXPECT_EQ(*p2, p1 + 4);
     EXPECT_EQ(tlb.translateFunctional(0x1000), p1);
 }
 
@@ -609,7 +612,7 @@ TEST_F(TlbFixture, CapacityEvictionCausesRepeatMiss)
         tlb.translate(page * 4096, [](Addr) {});
         eq.run();
     }
-    bool hit = tlb.translate(0, [](Addr) {});
+    bool hit = tlb.translate(0, [](Addr) {}).has_value();
     EXPECT_FALSE(hit);
     eq.run();
     EXPECT_LT(tlb.hitRate(), 0.5);
