@@ -1,6 +1,5 @@
 #include "config_parse.hh"
 
-#include <cstdlib>
 #include <limits>
 
 #include "sim/logging.hh"
@@ -59,9 +58,8 @@ parseScaled(const std::string &key, const std::string &value, T scale)
 double
 parseRate(const std::string &key, const std::string &value)
 {
-    char *end = nullptr;
-    double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0')
+    double v = 0.0;
+    if (!parseDecimal(value.c_str(), v))
         fatal("option %s: expected a probability, got '%s'",
               key.c_str(), value.c_str());
     if (v < 0.0 || v > 1.0)

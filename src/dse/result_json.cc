@@ -1,7 +1,7 @@
 #include "result_json.hh"
 
-#include <cmath>
-#include <cstdlib>
+#include <limits>
+#include <type_traits>
 
 #include "core/fingerprint.hh"
 #include "metrics/export.hh"
@@ -14,19 +14,44 @@ namespace genie
 namespace
 {
 
-std::string
-u64Field(const char *name, std::uint64_t v)
+/**
+ * The result fields of a record, in their frozen order, each spelled
+ * once: calls @p f(name, member) for every field of @p r. A double
+ * member is written as a double; every other member (u64, unsigned,
+ * bool) as a whole number.
+ */
+template <typename Results, typename F>
+void
+forEachResultField(Results &r, F &&f)
 {
-    return format("\"%s\": %llu", name, (unsigned long long)v);
+    f("total_ticks", r.totalTicks);
+    f("accel_cycles", r.accelCycles);
+    f("flush_only", r.breakdown.flushOnly);
+    f("dma_flush", r.breakdown.dmaFlush);
+    f("compute_dma", r.breakdown.computeDma);
+    f("compute_only", r.breakdown.computeOnly);
+    f("other", r.breakdown.other);
+    f("energy_pj", r.energyPj);
+    f("dynamic_pj", r.dynamicPj);
+    f("leakage_pj", r.leakagePj);
+    f("avg_power_mw", r.avgPowerMw);
+    f("edp", r.edp);
+    f("cache_miss_rate", r.cacheMissRate);
+    f("tlb_hit_rate", r.tlbHitRate);
+    f("dram_row_hit_rate", r.dramRowHitRate);
+    f("bus_utilization", r.busUtilization);
+    f("dma_bytes", r.dmaBytes);
+    f("spad_conflicts", r.spadConflicts);
+    f("ready_bit_stalls", r.readyBitStalls);
+    f("cache_to_cache", r.cacheToCacheTransfers);
+    f("stalled", r.stalled);
+    f("local_sram_bytes", r.localSramBytes);
+    f("local_mem_bw", r.localMemBandwidthBytesPerCycle);
+    f("lanes", r.lanes);
 }
 
-std::string
-dblField(const char *name, double v)
-{
-    return format("\"%s\": %s", name, formatStatNumber(v).c_str());
-}
-
-/** Value text after `"name": `, or empty when absent. */
+/** Value text after `"name": ` up to the field's closing ',' or
+ * '}', or empty when absent or unterminated. */
 std::string
 fieldText(const std::string &line, const char *name)
 {
@@ -34,39 +59,25 @@ fieldText(const std::string &line, const char *name)
     std::size_t pos = line.find(needle);
     if (pos == std::string::npos)
         return "";
-    return line.substr(pos + needle.size());
+    pos += needle.size();
+    std::size_t end = line.find_first_of(",}", pos);
+    if (end == std::string::npos)
+        return "";
+    return line.substr(pos, end - pos);
 }
 
-/** A whole number that fits 64 bits, ending the field: a sign, an
- * overflow or trailing junk makes the record unparseable. */
+/** A whole number that fits @p out's type (0 or 1 for a bool): a
+ * sign, an overflow or junk makes the record unparseable. */
+template <typename T>
 bool
-parseU64Field(const std::string &line, const char *name,
-              std::uint64_t &out)
+parseCountField(const std::string &line, const char *name, T &out)
 {
-    std::string text = fieldText(line, name);
-    std::size_t digits = text.find_first_not_of("0123456789");
-    if (digits == std::string::npos ||
-        (text[digits] != ',' && text[digits] != '}'))
+    std::uint64_t v = 0;
+    if (!parseWholeNumber(fieldText(line, name).c_str(), v) ||
+        v > static_cast<std::uint64_t>(std::numeric_limits<T>::max()))
         return false;
-    text.resize(digits);
-    return parseWholeNumber(text.c_str(), out);
-}
-
-/** A finite decimal number, ending the field: whitespace, nan, inf,
- * an overflow to infinity or trailing junk makes the record
- * unparseable. */
-bool
-parseDblField(const std::string &line, const char *name, double &out)
-{
-    std::string text = fieldText(line, name);
-    std::size_t stop = text.find_first_not_of("0123456789+-.eE");
-    if (stop == 0 || stop == std::string::npos ||
-        (text[stop] != ',' && text[stop] != '}'))
-        return false;
-    text.resize(stop);
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end == text.c_str() + text.size() && std::isfinite(out);
+    out = static_cast<T>(v);
+    return true;
 }
 
 bool
@@ -93,31 +104,15 @@ std::string
 resultsJson(const SocResults &r)
 {
     std::string s = "{";
-    s += u64Field("total_ticks", r.totalTicks) + ", ";
-    s += u64Field("accel_cycles", r.accelCycles) + ", ";
-    s += u64Field("flush_only", r.breakdown.flushOnly) + ", ";
-    s += u64Field("dma_flush", r.breakdown.dmaFlush) + ", ";
-    s += u64Field("compute_dma", r.breakdown.computeDma) + ", ";
-    s += u64Field("compute_only", r.breakdown.computeOnly) + ", ";
-    s += u64Field("other", r.breakdown.other) + ", ";
-    s += dblField("energy_pj", r.energyPj) + ", ";
-    s += dblField("dynamic_pj", r.dynamicPj) + ", ";
-    s += dblField("leakage_pj", r.leakagePj) + ", ";
-    s += dblField("avg_power_mw", r.avgPowerMw) + ", ";
-    s += dblField("edp", r.edp) + ", ";
-    s += dblField("cache_miss_rate", r.cacheMissRate) + ", ";
-    s += dblField("tlb_hit_rate", r.tlbHitRate) + ", ";
-    s += dblField("dram_row_hit_rate", r.dramRowHitRate) + ", ";
-    s += dblField("bus_utilization", r.busUtilization) + ", ";
-    s += u64Field("dma_bytes", r.dmaBytes) + ", ";
-    s += u64Field("spad_conflicts", r.spadConflicts) + ", ";
-    s += u64Field("ready_bit_stalls", r.readyBitStalls) + ", ";
-    s += u64Field("cache_to_cache", r.cacheToCacheTransfers) + ", ";
-    s += u64Field("stalled", r.stalled ? 1 : 0) + ", ";
-    s += u64Field("local_sram_bytes", r.localSramBytes) + ", ";
-    s += dblField("local_mem_bw", r.localMemBandwidthBytesPerCycle) +
-         ", ";
-    s += u64Field("lanes", r.lanes);
+    const char *sep = "";
+    forEachResultField(r, [&](const char *name, const auto &v) {
+        s += sep;
+        sep = ", ";
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
+            s += format("\"%s\": %s", name, formatStatNumber(v).c_str());
+        else
+            s += format("\"%s\": %llu", name, (unsigned long long)v);
+    });
     s += "}";
     return s;
 }
@@ -144,48 +139,15 @@ parseResultRecordLine(const std::string &line, std::string &key,
     if (!parseStringField(line, "key", k))
         return false;
     SocResults r;
-    std::uint64_t stalled = 0;
-    bool ok = parseU64Field(line, "total_ticks", r.totalTicks) &&
-              parseU64Field(line, "accel_cycles", r.accelCycles) &&
-              parseU64Field(line, "flush_only",
-                            r.breakdown.flushOnly) &&
-              parseU64Field(line, "dma_flush",
-                            r.breakdown.dmaFlush) &&
-              parseU64Field(line, "compute_dma",
-                            r.breakdown.computeDma) &&
-              parseU64Field(line, "compute_only",
-                            r.breakdown.computeOnly) &&
-              parseU64Field(line, "other", r.breakdown.other) &&
-              parseDblField(line, "energy_pj", r.energyPj) &&
-              parseDblField(line, "dynamic_pj", r.dynamicPj) &&
-              parseDblField(line, "leakage_pj", r.leakagePj) &&
-              parseDblField(line, "avg_power_mw", r.avgPowerMw) &&
-              parseDblField(line, "edp", r.edp) &&
-              parseDblField(line, "cache_miss_rate",
-                            r.cacheMissRate) &&
-              parseDblField(line, "tlb_hit_rate", r.tlbHitRate) &&
-              parseDblField(line, "dram_row_hit_rate",
-                            r.dramRowHitRate) &&
-              parseDblField(line, "bus_utilization",
-                            r.busUtilization) &&
-              parseU64Field(line, "dma_bytes", r.dmaBytes) &&
-              parseU64Field(line, "spad_conflicts",
-                            r.spadConflicts) &&
-              parseU64Field(line, "ready_bit_stalls",
-                            r.readyBitStalls) &&
-              parseU64Field(line, "cache_to_cache",
-                            r.cacheToCacheTransfers) &&
-              parseU64Field(line, "stalled", stalled) &&
-              parseU64Field(line, "local_sram_bytes",
-                            r.localSramBytes) &&
-              parseDblField(line, "local_mem_bw",
-                            r.localMemBandwidthBytesPerCycle);
-    std::uint64_t lanes = 0;
-    ok = ok && parseU64Field(line, "lanes", lanes);
+    bool ok = true;
+    forEachResultField(r, [&](const char *name, auto &v) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>)
+            ok = ok && parseDecimal(fieldText(line, name).c_str(), v);
+        else
+            ok = ok && parseCountField(line, name, v);
+    });
     if (!ok)
         return false;
-    r.stalled = stalled != 0;
-    r.lanes = static_cast<unsigned>(lanes);
     key = std::move(k);
     results = r;
     return true;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <mutex>
 #include <thread>
 
@@ -29,17 +28,12 @@ struct SweepEngine::Impl
                                        synchronized) = nullptr;
     ResultCache ownedCache GENIE_SHARED_OK(internally synchronized);
 
-    // Work-stealing deques: the owner pops from the front, thieves
-    // pop from the back, so a thief takes the victim's cheapest
-    // remaining point and the owner keeps its expensive head.
-    struct WorkerQueue
-    {
-        std::mutex mutex;
-        std::deque<std::size_t> items GENIE_GUARDED_BY(mutex);
-    };
-    std::vector<std::unique_ptr<WorkerQueue>> queues
-        GENIE_SHARED_OK(sized and filled before workers spawn; the
-                        elements lock themselves);
+    /** Cost-sorted point indices and the shared cursor into them:
+     * each worker takes order[next++] until the list runs out. */
+    std::vector<std::size_t> order GENIE_SHARED_OK(filled before
+                                                   workers spawn and
+                                                   read-only after);
+    std::atomic<std::size_t> next GENIE_SHARED_OK(atomic){0};
 
     // Shared counters.
     std::atomic<std::size_t> done GENIE_SHARED_OK(atomic){0};
@@ -65,34 +59,6 @@ struct SweepEngine::Impl
     std::vector<FailedPoint> failures GENIE_GUARDED_BY(failureMutex);
 
     std::mutex progressMutex; ///< serializes the user callback
-
-    /** Pop the next index: own deque first, then steal. Returns
-     * npos when every deque is empty. */
-    std::size_t
-    take(std::size_t self)
-    {
-        {
-            WorkerQueue &own = *queues[self];
-            std::lock_guard<std::mutex> lock(own.mutex);
-            if (!own.items.empty()) {
-                std::size_t i = own.items.front();
-                own.items.pop_front();
-                return i;
-            }
-        }
-        for (std::size_t v = 0; v < queues.size(); ++v) {
-            if (v == self)
-                continue;
-            WorkerQueue &victim = *queues[v];
-            std::lock_guard<std::mutex> lock(victim.mutex);
-            if (!victim.items.empty()) {
-                std::size_t i = victim.items.back();
-                victim.items.pop_back();
-                return i;
-            }
-        }
-        return static_cast<std::size_t>(-1);
-    }
 };
 
 SweepEngine::SweepEngine(SweepOptions options)
@@ -240,28 +206,19 @@ SweepEngine::run(const std::vector<SocConfig> &configs,
     if (configs.empty())
         threads = 1;
 
-    // Longest-job-first: sort by descending cost (stable tiebreak on
-    // index keeps the deal deterministic), then deal round-robin so
-    // every worker starts with a heavy point and keeps a cost-sorted
-    // deque for thieves to take from the cheap end.
-    std::vector<std::size_t> order(configs.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
+    // Longest-job-first: sort by descending cost (stable, so ties
+    // keep enumeration order) and hand the points out in that order,
+    // so the expensive ones start early and cheap ones fill the tail.
+    st.order.resize(configs.size());
+    for (std::size_t i = 0; i < st.order.size(); ++i)
+        st.order[i] = i;
+    std::stable_sort(st.order.begin(), st.order.end(),
                      [&](std::size_t a, std::size_t b) {
                          return configCost(configs[a]) >
                                 configCost(configs[b]);
                      });
     st.workerCount = threads;
     st.startNs = profilerNowNs();
-    st.queues.resize(threads);
-    for (unsigned t = 0; t < threads; ++t)
-        st.queues[t] = std::make_unique<Impl::WorkerQueue>();
-    for (std::size_t n = 0; n < order.size(); ++n) {
-        Impl::WorkerQueue &q = *st.queues[n % threads];
-        std::lock_guard<std::mutex> lock(q.mutex);
-        q.items.push_back(order[n]);
-    }
 
     auto reportProgress = [&](bool force) {
         if (!opts.onProgress)
@@ -350,29 +307,29 @@ SweepEngine::run(const std::vector<SocConfig> &configs,
         reportProgress(false);
     };
 
-    auto worker = [&](std::size_t self) {
+    auto worker = [&] {
         HostProfiler profiler;
         while (!st.stopped.load()) {
             if (opts.stopRequested && opts.stopRequested->load()) {
                 st.stopped.store(true);
                 break;
             }
-            std::size_t i = st.take(self);
-            if (i == static_cast<std::size_t>(-1))
+            std::size_t n = st.next.fetch_add(1);
+            if (n >= st.order.size())
                 break;
             st.activeWorkers.fetch_add(1);
-            process(i, profiler);
+            process(st.order[n], profiler);
             st.activeWorkers.fetch_sub(1);
         }
     };
 
     if (threads == 1) {
-        worker(0);
+        worker();
     } else {
         std::vector<std::thread> pool;
         pool.reserve(threads);
         for (unsigned t = 0; t < threads; ++t)
-            pool.emplace_back(worker, t);
+            pool.emplace_back(worker);
         for (auto &t : pool)
             t.join();
     }

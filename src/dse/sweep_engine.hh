@@ -1,15 +1,12 @@
 /**
  * @file
- * SweepEngine: the work-stealing, memoizing, resumable sweep runner.
- *
- * The engine replaces the old static-partition thread pool with a
- * scheduler built for the paper-figure spaces:
+ * SweepEngine: the multi-threaded, memoizing, resumable sweep runner.
  *
  *  - scheduling: design points are ordered longest-job-first by a
- *    config cost heuristic and dealt round-robin into per-thread
- *    deques; an idle worker pops its own deque from the front and
- *    steals from the back of a victim's, so one expensive cache-mode
- *    point never serializes the tail of a sweep.
+ *    config cost heuristic, and every worker takes the next point in
+ *    that order from one shared atomic cursor (greedy list
+ *    scheduling), so the expensive cache-mode points start first and
+ *    the cheap ones fill the tail of a sweep.
  *  - memoization: run() digests the trace once (traceDigest) and
  *    keys every point by resultKey(digest, config), so one kernel's
  *    results are never served to another. Each point goes through
@@ -85,7 +82,7 @@ struct SweepProgress GENIE_THREAD_LOCAL_OK
      * cache and store absorbed. */
     double cacheHitRate = 0.0;
     /** active / workers: the fraction of the pool doing useful work
-     * (drops at the tail when deques drain). */
+     * (drops at the tail when the list runs out). */
     double occupancy = 0.0;
 
     std::size_t completed() const { return done + cached + failed; }

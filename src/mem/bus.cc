@@ -57,6 +57,7 @@ SystemBus::sendRequest(BusPortId src, Packet pkt)
     if (checker)
         checker->onRequest(pkt);
     reqQueues[static_cast<std::size_t>(src)].push_back(pkt);
+    ++queuedRequests;
     scheduleArbitration(clockEdge());
 }
 
@@ -117,9 +118,7 @@ SystemBus::arbitrate()
         return;
     }
 
-    std::size_t depth = respQueue.size();
-    for (const auto &q : reqQueues)
-        depth += q.size();
+    std::size_t depth = respQueue.size() + queuedRequests;
     if (depth > 0)
         statQueueDepth.sample(static_cast<double>(depth));
 
@@ -136,6 +135,7 @@ SystemBus::arbitrate()
             if (!reqQueues[port].empty()) {
                 pkt = reqQueues[port].front();
                 reqQueues[port].pop_front();
+                --queuedRequests;
                 rrNext = (port + 1) % reqQueues.size();
                 found = true;
             }
@@ -162,10 +162,7 @@ SystemBus::arbitrate()
     }, this, inFlight.put(pkt), "bus.deliver");
 
     // Let the next packet arbitrate once this transfer is done.
-    bool more = !respQueue.empty();
-    for (const auto &q : reqQueues)
-        more = more || !q.empty();
-    if (more)
+    if (!respQueue.empty() || queuedRequests > 0)
         scheduleArbitration(done);
 }
 

@@ -129,6 +129,8 @@ class SystemBus : public SimObject, public Clocked
     // round-robin.
     std::deque<Packet> respQueue;
     std::vector<std::deque<Packet>> reqQueues;
+    /** Packets across all of reqQueues. */
+    std::size_t queuedRequests = 0;
     std::size_t rrNext = 0;
 
     /** Packets in flight to a bus.deliver or bus.snoopSupply event,

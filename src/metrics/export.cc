@@ -15,26 +15,6 @@ namespace genie
 namespace
 {
 
-/** JSON string escaping (paths and descs are plain ASCII, but stay
- * safe on quotes/backslashes/control characters). */
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += format("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-}
-
 /** CSV field quoting: wrap when the field carries a comma or quote. */
 std::string
 csvField(const std::string &s)
@@ -64,10 +44,10 @@ struct JsonStatsWriter GENIE_THREAD_LOCAL_OK : StatVisitor
         if (!scalars.empty())
             scalars += ",\n";
         scalars += "    \"";
-        appendEscaped(scalars, s.name());
+        appendJsonEscaped(scalars, s.name());
         scalars += "\": {\"value\": " + formatStatNumber(s.value()) +
                    ", \"desc\": \"";
-        appendEscaped(scalars, s.desc());
+        appendJsonEscaped(scalars, s.desc());
         scalars += "\"}";
     }
 
@@ -77,9 +57,9 @@ struct JsonStatsWriter GENIE_THREAD_LOCAL_OK : StatVisitor
         if (!dists.empty())
             dists += ",\n";
         dists += "    \"";
-        appendEscaped(dists, d.name());
+        appendJsonEscaped(dists, d.name());
         dists += "\": {\"desc\": \"";
-        appendEscaped(dists, d.desc());
+        appendJsonEscaped(dists, d.desc());
         dists += format("\", \"count\": %llu",
                         (unsigned long long)d.count());
         dists += ", \"min\": " + formatStatNumber(d.min());
@@ -219,7 +199,7 @@ writeSamplesJson(std::ostream &os, const MetricsSampler &sampler)
         if (s > 0)
             out += ",\n";
         out += "    \"";
-        appendEscaped(out, sampler.paths()[s]);
+        appendJsonEscaped(out, sampler.paths()[s]);
         out += "\": [";
         first = true;
         for (double v : sampler.values(s)) {

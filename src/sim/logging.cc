@@ -41,6 +41,32 @@ format(const char *fmt, ...)
 }
 
 void
+appendJsonEscaped(std::string &out, std::string_view s)
+{
+    for (char ch : s) {
+        switch (ch) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(ch) < 0x20)
+                out += format("\\u%04x", static_cast<unsigned>(ch));
+            else
+                out += ch;
+        }
+    }
+}
+
+void
 panic(const char *fmt, ...)
 {
     std::va_list ap;

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace genie
 {
@@ -37,6 +38,11 @@ class FatalError : public std::runtime_error
 std::string vformat(const char *fmt, std::va_list ap);
 std::string format(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/** Append @p s to @p out escaped as the body of a JSON string: quotes,
+ * backslashes and control characters; everything else passes
+ * through. */
+void appendJsonEscaped(std::string &out, std::string_view s);
 
 /** Report a simulator bug and abort. */
 [[noreturn]] void panic(const char *fmt, ...)

@@ -17,35 +17,6 @@ constexpr const char *categoryNames[numTraceCategories] = {
     "iface",
 };
 
-/** Minimal JSON string escaping; track/name strings are component
- * names, so anything beyond quotes/backslash/control is pass-through.
- */
-void
-appendJsonEscaped(std::string &out, std::string_view s)
-{
-    for (char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20)
-                out += format("\\u%04x", static_cast<unsigned>(ch));
-            else
-                out += ch;
-        }
-    }
-}
-
 /**
  * Render a picosecond tick count as a microsecond value with exact
  * six-digit decimals. Pure integer arithmetic keeps the JSON

@@ -448,6 +448,46 @@ TEST(SweepEngine, InterruptedSweepResumesFromStore)
     std::filesystem::remove_all(dir);
 }
 
+TEST(SweepEngine, OneWorkerSimulatesTheCostliestPointsFirst)
+{
+    // Longest-job-first: one worker with a budget of k fresh points
+    // simulates exactly the k highest-cost points. The space is
+    // reversed so that enumeration order would pick the cheapest.
+    const auto &s = space();
+    const std::vector<SocConfig> configs(s.configs.rbegin(),
+                                         s.configs.rend());
+    std::vector<double> costs;
+    for (const SocConfig &c : configs)
+        costs.push_back(SweepEngine::configCost(c));
+    std::sort(costs.begin(), costs.end(), std::greater<double>());
+    const std::uint64_t digest = traceDigest(s.trace);
+
+    for (std::size_t k : {2u, 4u}) {
+        ASSERT_GT(costs[k - 1], costs[k]) << "k=" << k;
+        const std::string dir = ::testing::TempDir() +
+                                "genie_sweep_order_" +
+                                std::to_string(k);
+        std::filesystem::remove_all(dir);
+        ResultStore store;
+        store.open(dir);
+        SweepOptions options;
+        options.store = &store;
+        options.threads = 1;
+        options.maxFreshPoints = k;
+        SweepEngine engine(std::move(options));
+        engine.run(configs, s.trace, s.dddg);
+        EXPECT_TRUE(engine.interrupted());
+        EXPECT_EQ(store.stats().records, k);
+        for (const SocConfig &c : configs) {
+            SocResults r;
+            EXPECT_EQ(store.lookup(resultKey(digest, c), r),
+                      SweepEngine::configCost(c) >= costs[k - 1])
+                << "k=" << k << " " << configCanonicalKey(c);
+        }
+        std::filesystem::remove_all(dir);
+    }
+}
+
 TEST(SweepEngine, ProgressCallbackCoversEveryPoint)
 {
     const auto &s = space();
@@ -559,10 +599,9 @@ TEST(SweepEngine, CallbackMayReenterEngineOnFailurePath)
 
 TEST(SweepEngine, EveryPointFailingStillCountsAndSortsFailures)
 {
-    // Regression: the dealing loop used to fill the per-worker
-    // deques without their locks and the owner read st.failures
-    // without failureMutex after the join. All-failure sweeps at
-    // threads=4 are the densest exercise of both paths.
+    // Regression: the owner read st.failures without failureMutex
+    // after the join. All-failure sweeps at threads=4 are the
+    // densest exercise of the failure path.
     const auto &s = space();
     std::vector<SocConfig> configs = s.configs;
     for (auto &c : configs)

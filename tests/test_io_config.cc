@@ -238,6 +238,32 @@ TEST(ConfigParse, RejectsNumbersOutsideTheFieldRange)
     EXPECT_EQ(c.faults.seed, 18446744073709551615ull);
 }
 
+TEST(ConfigParse, RejectsRatesThatAreNotPlainDecimalsInTheUnitRange)
+{
+    // strtod alone read "nan" as NaN, which passed both range tests,
+    // and " 0.5" as 0.5.
+    SocConfig c;
+    for (const char *bad :
+         {"nan", "-nan", "NAN", "inf", "1e999", " 0.5", "0.5 ", "0x0.8",
+          "0.5x", "1.5", "-0.1", "", "."}) {
+        try {
+            applyConfigOption(c, std::string("fault_dram_read=") + bad);
+            ADD_FAILURE() << "'" << bad << "' must be rejected";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("fault_dram_read"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const auto dramRead = static_cast<unsigned>(FaultSite::DramRead);
+    for (const auto &[text, rate] :
+         {std::pair{"0", 0.0}, std::pair{"1", 1.0},
+          std::pair{"0.25", 0.25}, std::pair{"1e-3", 1e-3}}) {
+        applyConfigOption(c, std::string("fault_dram_read=") + text);
+        EXPECT_EQ(c.faults.rates[dramRead], rate) << text;
+    }
+}
+
 TEST(ConfigParse, RejectsScaledValuesThatOverflowTheField)
 {
     // cache_kb is stored in 32-bit bytes and irq_latency_ns in 64-bit

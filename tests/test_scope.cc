@@ -449,7 +449,7 @@ dumpBlame(const BlameReport &b)
     return s;
 }
 
-/** Trace @p config with every category on, as genie_report does. */
+/** Trace @p config with every category on, as the reports do. */
 SocConfig
 tracedAll(SocConfig config)
 {
@@ -460,8 +460,9 @@ tracedAll(SocConfig config)
 
 TEST(ScopeBlameGolden, PaperDesignPointsMatchGolden)
 {
-    // Each point's `genie_report <workload> <options>` output (blame
-    // plus the segments table) followed by the full BlameReport.
+    // Each point's `genie_run <workload> <options> --report` output
+    // (blame plus the segments table) followed by the full
+    // BlameReport.
     std::vector<std::string> fresh;
     for (const DesignPointSpec &p : paperPoints) {
         SocConfig cfg = parseConfig(splitOptions(p.options));
@@ -486,9 +487,9 @@ TEST(ScopeBlameGolden, PaperDesignPointsMatchGolden)
 
 TEST(ScopeBlameGolden, SweepReportMatchesGolden)
 {
-    // `genie_report stencil-stencil2d --sweep --space=fig6
-    // --filter="lanes=1,4;partitions=1,4"`: the space CI's
-    // sweep-smoke job reports on, blame on every point.
+    // `genie_sweep stencil-stencil2d --space=fig6
+    // --filter="lanes=1,4;partitions=1,4" --report=FILE`: the space
+    // CI's sweep-smoke job reports on, blame on every point.
     Trace trace = makeWorkload("stencil-stencil2d")->build().trace;
     Dddg dddg(trace);
     auto configs =

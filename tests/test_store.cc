@@ -140,6 +140,32 @@ TEST(ResultRecordLine, RejectsSignedOverflowingAndJunkCounts)
     }
 }
 
+TEST(ResultRecordLine, RejectsCountsPastTheFieldRange)
+{
+    // lanes is 32-bit and stalled a bool: 4294967297 used to parse as
+    // lanes=1.
+    const std::string good = resultRecordLine("k", sampleResults(3.0));
+    auto with = [&](const std::string &name, const std::string &text) {
+        const std::string field = "\"" + name + "\": ";
+        const std::size_t at = good.find(field) + field.size();
+        const std::size_t end = good.find_first_of(",}", at);
+        return good.substr(0, at) + text + good.substr(end);
+    };
+
+    std::string key;
+    SocResults out;
+    ASSERT_TRUE(parseResultRecordLine(with("lanes", "4294967295"), key,
+                                      out));
+    EXPECT_EQ(out.lanes, 4294967295u);
+    ASSERT_TRUE(parseResultRecordLine(with("stalled", "1"), key, out));
+    EXPECT_TRUE(out.stalled);
+    for (const char *bad : {"4294967296", "4294967297"}) {
+        EXPECT_FALSE(parseResultRecordLine(with("lanes", bad), key, out))
+            << "lanes: '" << bad << "'";
+    }
+    EXPECT_FALSE(parseResultRecordLine(with("stalled", "2"), key, out));
+}
+
 TEST(ResultRecordLine, RejectsJunkAndNonFiniteDoubles)
 {
     const std::string good = resultRecordLine("k", sampleResults(3.0));

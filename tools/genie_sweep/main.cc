@@ -3,9 +3,9 @@
  * genie_sweep: the restartable design-space-sweep service CLI.
  *
  * Runs one of the paper's Figure 3 design spaces for a workload under
- * the SweepEngine — work-stealing scheduling, result-cache dedupe,
- * and the durable ResultStore, so an interrupted sweep resumes where
- * it stopped:
+ * the SweepEngine — longest-job-first scheduling, result-cache
+ * dedupe, and the durable ResultStore, so an interrupted sweep
+ * resumes where it stopped:
  *
  *   genie_sweep stencil-stencil2d --space=fig6 --out=results.json
  *   genie_sweep md-knn --space=fig8 --filter="lanes=1,4" \
@@ -40,6 +40,15 @@
  * across thread counts and cold/warm/resumed runs. --stats-json
  * exports the engine's StatRegistry block (points done/cached/failed,
  * events, MEPS, store hits).
+ *
+ * --report=FILE writes the Genie-Scope sweep report once the sweep
+ * has completed (never after an interruption): the cross-run table,
+ * annotated with critical-path blame from re-simulating points with
+ * tracing on. Up to --blame-points points (default 64) every point
+ * is blamed; past that, only the Pareto frontier, and the report
+ * says so. Like the results JSON, the report is byte-identical
+ * across thread counts and cold/warm/resumed runs. The single-run
+ * report is `genie_run --report`.
  */
 
 #include <atomic>
@@ -49,17 +58,20 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/config_parse.hh"
+#include "core/soc.hh"
 #include "dse/pareto.hh"
 #include "dse/result_json.hh"
 #include "dse/result_store.hh"
 #include "dse/sweep.hh"
 #include "dse/sweep_engine.hh"
 #include "metrics/export.hh"
+#include "scope/report.hh"
+#include "scope/span_dag.hh"
 #include "sim/whole_number.hh"
 #include "workloads/workload.hh"
 
@@ -91,12 +103,73 @@ usage()
         "[--store-budget=BYTES]\n"
         "         [--out=FILE] [--stats-json=FILE] "
         "[--max-points=N]\n"
-        "         [--progress] [--pareto]\n"
+        "         [--progress] [--pareto] [--report=FILE] "
+        "[--blame-points=N]\n"
         "       genie_sweep --list\n"
         "exit:  0 ok, 1 error, 2 usage, 4 interrupted by "
         "--max-points,\n"
         "       5 drained by SIGINT/SIGTERM\n");
     return 2;
+}
+
+/** Write @p text to @p path, "-" meaning stdout. */
+bool
+writeOutput(const std::string &path, const std::string &text)
+{
+    if (path == "-") {
+        std::fputs(text.c_str(), stdout);
+        return true;
+    }
+    std::ofstream out(path, std::ios::binary);
+    if (!out) {
+        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+        return false;
+    }
+    out << text;
+    return true;
+}
+
+/** Re-simulate @p config traced (in-memory) and blame the run. */
+BlameReport
+blamePoint(SocConfig config, const Trace &trace, const Dddg &dddg)
+{
+    config.tracing.enabled = true;
+    config.tracing.categories = allTraceCategories;
+    config.tracing.outPath.clear();
+    Soc soc(config, trace, dddg);
+    soc.run();
+    return blameRun(*soc.tracer());
+}
+
+/** The sweep report: blame every point when the space is small;
+ * otherwise only the Pareto frontier (the designs anyone asks "why?"
+ * about). */
+std::string
+sweepReport(const std::string &title,
+            const std::vector<DesignPoint> &points,
+            std::size_t blamePoints, const Trace &trace,
+            const Dddg &dddg)
+{
+    std::vector<std::size_t> toBlame;
+    std::string note;
+    if (points.size() <= blamePoints) {
+        for (std::size_t i = 0; i < points.size(); ++i)
+            toBlame.push_back(i);
+        note = format("blame: all %zu points re-run traced",
+                      points.size());
+    } else {
+        toBlame = paretoFrontier(points);
+        note = format("blame: Pareto frontier only (%zu of %zu "
+                      "points; raise --blame-points to widen)",
+                      toBlame.size(), points.size());
+    }
+    SweepReportInput in;
+    in.title = title;
+    in.points = &points;
+    for (std::size_t i : toBlame)
+        in.blames.emplace_back(i, blamePoint(points[i].config, trace, dddg));
+    in.blameScopeNote = note;
+    return renderSweepReport(in);
 }
 
 } // namespace
@@ -110,7 +183,9 @@ main(int argc, char **argv)
     std::string outPath;
     std::string statsJsonPath;
     std::string storeDir;
+    std::string reportPath;
     std::uint64_t storeBudget = 0;
+    std::size_t blamePoints = 64;
     bool progress = false;
     bool pareto = false;
     SweepOptions options;
@@ -145,6 +220,11 @@ main(int argc, char **argv)
             progress = true;
         } else if (std::strcmp(arg, "--pareto") == 0) {
             pareto = true;
+        } else if (std::strncmp(arg, "--report=", 9) == 0) {
+            reportPath = arg + 9;
+        } else if (std::strncmp(arg, "--blame-points=", 15) == 0) {
+            if (!parseWholeNumber(arg + 15, blamePoints))
+                return usage();
         } else if (arg[0] == '-') {
             return usage();
         } else if (workload.empty()) {
@@ -255,18 +335,24 @@ main(int argc, char **argv)
         }
 
         if (!outPath.empty()) {
-            if (outPath == "-") {
-                writeSweepResultsJson(std::cout, points, workload);
-            } else {
-                std::ofstream out(outPath);
-                if (!out) {
-                    std::fprintf(stderr, "error: cannot write %s\n",
-                                 outPath.c_str());
-                    return 1;
-                }
-                writeSweepResultsJson(out, points, workload);
+            std::ostringstream json;
+            writeSweepResultsJson(json, points, workload);
+            if (!writeOutput(outPath, json.str()))
+                return 1;
+            if (outPath != "-") {
                 std::printf("wrote %s (%zu points)\n",
                             outPath.c_str(), points.size());
+            }
+        }
+        if (!reportPath.empty()) {
+            std::string report = sweepReport(
+                format("%s (%s)", workload.c_str(), space.c_str()),
+                points, blamePoints, built.trace, dddg);
+            if (!writeOutput(reportPath, report))
+                return 1;
+            if (reportPath != "-") {
+                std::printf("wrote %s (%zu bytes)\n",
+                            reportPath.c_str(), report.size());
             }
         }
         return 0;
