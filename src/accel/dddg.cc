@@ -32,15 +32,15 @@ Dddg::Dddg(const Trace &trace)
     opsPerIteration.assign(std::max<std::uint32_t>(trace.numIterations, 1),
                            0);
 
-    // Pass 1: collect every edge flat, grouped by consumer in program
-    // order. Node i's producers are the next parentCount[i] entries of
-    // `from`, so no per-edge consumer id is stored. The same walk
+    // Pass 1: infer the memory edges, grouped by consumer in program
+    // order. Register edges stay in the trace's flat dependence array,
+    // so node i's memory producers are the parentCount[i] - |deps(i)|
+    // entries of `memFrom` after those of earlier nodes. The same walk
     // lowers each op.
-    std::size_t estimate = 0;
-    for (const TraceOp &op : trace.ops)
-        estimate += op.deps.size() + (op.op == Opcode::Load ? 1 : 0);
-    std::vector<NodeId> from;
-    from.reserve(estimate);
+    GENIE_ASSERT(trace.depOff.size() == n + 1 &&
+                     trace.depOff.back() == trace.depIds.size(),
+                 "trace dependence offsets do not match its %zu ops", n);
+    std::vector<NodeId> memFrom;
 
     // Last store covering each (array, word) location. Word
     // granularity (4 bytes) bounds map size; accesses are word
@@ -48,19 +48,12 @@ Dddg::Dddg(const Trace &trace)
     std::unordered_map<std::uint64_t, NodeId> lastWriter;
     lastWriter.reserve(n / 4 + 16);
 
-    auto addEdge = [&](NodeId producer, NodeId consumer) {
-        GENIE_ASSERT(producer < consumer, "DDDG edge must go forward");
-        from.push_back(producer);
-        ++parentCount[consumer];
-    };
-
     constexpr unsigned wordGran = 4;
 
     std::uint32_t iteration = 0;
     for (NodeId i = 0; i < n; ++i) {
         const TraceOp &op = trace.ops[i];
-        for (NodeId d : op.deps)
-            addEdge(d, i);
+        parentCount[i] = trace.depOff[i + 1] - trace.depOff[i];
 
         if (op.iteration != iteration) {
             GENIE_ASSERT(op.iteration > iteration &&
@@ -92,8 +85,8 @@ Dddg::Dddg(const Trace &trace)
                  a < op.offset + op.size; a += wordGran) {
                 auto it = lastWriter.find(memKey(op.arrayId, a));
                 if (it != lastWriter.end() && it->second != lastDep) {
-                    addEdge(it->second, i);
-                    ++memEdges;
+                    memFrom.push_back(it->second);
+                    ++parentCount[i];
                     lastDep = it->second;
                 }
             }
@@ -104,29 +97,39 @@ Dddg::Dddg(const Trace &trace)
             }
         }
     }
-    GENIE_ASSERT(from.size() < std::numeric_limits<std::uint32_t>::max(),
+    memEdges = memFrom.size();
+    GENIE_ASSERT(trace.depIds.size() + memEdges <
+                     std::numeric_limits<std::uint32_t>::max(),
                  "DDDG too large");
 
-    // Pass 2: stable counting sort by producer. Consumers were
-    // visited in ascending order, so every producer's segment comes
-    // out sorted.
+    // Pass 2: stable counting sort by producer. Each consumer places
+    // its register producers, then its memory producers; consumers
+    // are visited in ascending order, so every producer's segment
+    // comes out sorted.
     childOff.assign(n + 1, 0);
-    for (NodeId p : from)
+    for (NodeId p : trace.depIds)
+        ++childOff[p + 1];
+    for (NodeId p : memFrom)
         ++childOff[p + 1];
     for (std::size_t p = 1; p <= n; ++p)
         childOff[p] += childOff[p - 1];
-    childIdx.resize(from.size());
-    std::size_t e = 0;
+    childIdx.resize(trace.depIds.size() + memEdges);
+    const NodeId *mem = memFrom.data();
     for (NodeId i = 0; i < n; ++i) {
-        for (std::uint32_t k = 0; k < parentCount[i]; ++k)
-            childIdx[childOff[from[e++]]++] = i;
+        const auto deps = trace.deps(i);
+        for (NodeId p : deps) {
+            GENIE_ASSERT(p < i, "DDDG edge must go forward");
+            childIdx[childOff[p]++] = i;
+        }
+        for (auto k = static_cast<std::uint32_t>(deps.size());
+             k < parentCount[i]; ++k)
+            childIdx[childOff[*mem++]++] = i;
     }
     // Each childOff[p] now holds its segment's end; shift back to
     // segment starts.
     for (std::size_t p = n; p > 0; --p)
         childOff[p] = childOff[p - 1];
     childOff[0] = 0;
-    std::vector<NodeId>().swap(from);
 
     // Pass 3: drop adjacent duplicates (an op may depend on the same
     // producer through several inputs, e.g. x*x), compacting in place.

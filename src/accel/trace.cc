@@ -36,28 +36,24 @@ TraceBuilder::beginIteration()
 }
 
 NodeId
-TraceBuilder::emit(TraceOp op)
+TraceBuilder::emit(TraceOp op, std::span<const NodeId> deps)
 {
+    const auto id = static_cast<NodeId>(trace.ops.size());
+    for (NodeId d : deps)
+        GENIE_ASSERT(d < id, "dependence on future node %u", d);
     op.iteration = currentIteration;
-    for (NodeId d : op.deps) {
-        GENIE_ASSERT(d < trace.ops.size(),
-                     "dependence on future node %u", d);
-    }
-    trace.ops.push_back(std::move(op));
-    GENIE_ASSERT(trace.ops.size() < invalidNode, "trace too large");
-    return static_cast<NodeId>(trace.ops.size() - 1);
+    trace.ops.push_back(op);
+    trace.depIds.insert(trace.depIds.end(), deps.begin(), deps.end());
+    GENIE_ASSERT(trace.ops.size() < invalidNode &&
+                     trace.depIds.size() < invalidNode,
+                 "trace too large");
+    trace.depOff.push_back(static_cast<std::uint32_t>(trace.depIds.size()));
+    return id;
 }
 
 NodeId
 TraceBuilder::load(int arrayId, Addr offset, unsigned size,
-                   std::initializer_list<NodeId> deps)
-{
-    return load(arrayId, offset, size, std::vector<NodeId>(deps));
-}
-
-NodeId
-TraceBuilder::load(int arrayId, Addr offset, unsigned size,
-                   std::vector<NodeId> deps)
+                   std::span<const NodeId> deps)
 {
     GENIE_ASSERT(arrayId >= 0 && static_cast<std::size_t>(arrayId) <
                      trace.arrays.size(),
@@ -73,20 +69,12 @@ TraceBuilder::load(int arrayId, Addr offset, unsigned size,
     op.arrayId = static_cast<std::int16_t>(arrayId);
     op.offset = offset;
     op.size = static_cast<std::uint8_t>(size);
-    op.deps = std::move(deps);
-    return emit(std::move(op));
+    return emit(op, deps);
 }
 
 NodeId
 TraceBuilder::store(int arrayId, Addr offset, unsigned size,
-                    std::initializer_list<NodeId> deps)
-{
-    return store(arrayId, offset, size, std::vector<NodeId>(deps));
-}
-
-NodeId
-TraceBuilder::store(int arrayId, Addr offset, unsigned size,
-                    std::vector<NodeId> deps)
+                    std::span<const NodeId> deps)
 {
     GENIE_ASSERT(arrayId >= 0 && static_cast<std::size_t>(arrayId) <
                      trace.arrays.size(),
@@ -102,25 +90,17 @@ TraceBuilder::store(int arrayId, Addr offset, unsigned size,
     op.arrayId = static_cast<std::int16_t>(arrayId);
     op.offset = offset;
     op.size = static_cast<std::uint8_t>(size);
-    op.deps = std::move(deps);
-    return emit(std::move(op));
+    return emit(op, deps);
 }
 
 NodeId
-TraceBuilder::op(Opcode opcode, std::initializer_list<NodeId> deps)
-{
-    return op(opcode, std::vector<NodeId>(deps));
-}
-
-NodeId
-TraceBuilder::op(Opcode opcode, std::vector<NodeId> deps)
+TraceBuilder::op(Opcode opcode, std::span<const NodeId> deps)
 {
     GENIE_ASSERT(!isMemoryOp(opcode),
                  "use load()/store() for memory ops");
     TraceOp o;
     o.op = opcode;
-    o.deps = std::move(deps);
-    return emit(std::move(o));
+    return emit(o, deps);
 }
 
 NodeId

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +32,8 @@ namespace genie
 using NodeId = std::uint32_t;
 constexpr NodeId invalidNode = 0xffffffff;
 
-/** One dynamic operation. Fields are ordered to leave no padding. */
+/** One dynamic operation. Fields are ordered to leave no padding;
+ * its register dependences live in the Trace (Trace::deps()). */
 struct TraceOp
 {
     Opcode op = Opcode::Nop;
@@ -43,10 +45,8 @@ struct TraceOp
     std::uint32_t iteration = 0;
     /** For Load/Store: byte offset within the array. */
     Addr offset = 0;
-    /** Register (true) dependences: producers of this op's inputs. */
-    std::vector<NodeId> deps;
 };
-static_assert(sizeof(TraceOp) == 40, "TraceOp grew padding");
+static_assert(sizeof(TraceOp) == 16, "TraceOp grew");
 
 /** A workload array visible to the accelerator. */
 struct ArrayInfo
@@ -66,13 +66,27 @@ struct ArrayInfo
     bool privateScratch = false;
 };
 
-/** A complete dynamic trace. */
+/**
+ * A complete dynamic trace. Register (true) dependences are stored
+ * flat in compressed-sparse-row form: op i's producers are
+ * depIds[depOff[i], depOff[i+1]), so depOff has one entry more than
+ * ops.
+ */
 class Trace
 {
   public:
     std::vector<ArrayInfo> arrays;
     std::vector<TraceOp> ops;
+    std::vector<std::uint32_t> depOff{0};
+    std::vector<NodeId> depIds;
     std::uint32_t numIterations = 0;
+
+    /** Producers of op @p i's inputs, in the order they were given. */
+    std::span<const NodeId>
+    deps(NodeId i) const
+    {
+        return {depIds.data() + depOff[i], depOff[i + 1] - depOff[i]};
+    }
 
     std::uint64_t
     totalInputBytes() const
@@ -131,19 +145,31 @@ class TraceBuilder
     /** Emit a load; @p deps are address-producing ops (for indirect
      * accesses) or previous values. @return the load's node id. */
     NodeId load(int arrayId, Addr offset, unsigned size,
-                std::initializer_list<NodeId> deps = {});
-    NodeId load(int arrayId, Addr offset, unsigned size,
-                std::vector<NodeId> deps);
+                std::span<const NodeId> deps = {});
+    NodeId
+    load(int arrayId, Addr offset, unsigned size,
+         std::initializer_list<NodeId> deps)
+    {
+        return load(arrayId, offset, size, std::span(deps));
+    }
 
     /** Emit a store whose value is produced by @p deps. */
     NodeId store(int arrayId, Addr offset, unsigned size,
-                 std::initializer_list<NodeId> deps = {});
-    NodeId store(int arrayId, Addr offset, unsigned size,
-                 std::vector<NodeId> deps);
+                 std::span<const NodeId> deps = {});
+    NodeId
+    store(int arrayId, Addr offset, unsigned size,
+          std::initializer_list<NodeId> deps)
+    {
+        return store(arrayId, offset, size, std::span(deps));
+    }
 
     /** Emit a compute op depending on @p deps. */
-    NodeId op(Opcode opcode, std::initializer_list<NodeId> deps = {});
-    NodeId op(Opcode opcode, std::vector<NodeId> deps);
+    NodeId op(Opcode opcode, std::span<const NodeId> deps = {});
+    NodeId
+    op(Opcode opcode, std::initializer_list<NodeId> deps)
+    {
+        return op(opcode, std::span(deps));
+    }
 
     /** Convenience chain: fold @p values with @p opcode pairwise
      * (balanced reduction tree). */
@@ -155,7 +181,7 @@ class TraceBuilder
     const Trace &peek() const { return trace; }
 
   private:
-    NodeId emit(TraceOp op);
+    NodeId emit(TraceOp op, std::span<const NodeId> deps);
 
     Trace trace;
     std::uint32_t currentIteration = 0;

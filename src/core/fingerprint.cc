@@ -142,14 +142,16 @@ traceDigest(const Trace &trace)
     }
     f.put(trace.numIterations, 4);
     f.put(trace.ops.size(), 8);
-    for (const TraceOp &op : trace.ops) {
+    for (NodeId i = 0; i < trace.ops.size(); ++i) {
+        const TraceOp &op = trace.ops[i];
         f.put(static_cast<std::uint8_t>(op.op), 1);
         f.put(static_cast<std::uint16_t>(op.arrayId), 2);
         f.put(op.size, 1);
         f.put(op.iteration, 4);
         f.put(op.offset, 8);
-        f.put(op.deps.size(), 4);
-        for (NodeId dep : op.deps)
+        const auto deps = trace.deps(i);
+        f.put(deps.size(), 4);
+        for (NodeId dep : deps)
             f.put(dep, 4);
     }
     return f.h;

@@ -79,9 +79,11 @@ struct JsonStatsWriter GENIE_THREAD_LOCAL_OK : StatVisitor
             if (!first)
                 dists += ", ";
             first = false;
-            dists += "[" + formatStatNumber(b.lo) + ", " +
-                     formatStatNumber(b.hi) +
-                     format(", %llu]", (unsigned long long)b.count);
+            dists += '[';
+            dists += formatStatNumber(b.lo);
+            dists += ", ";
+            dists += formatStatNumber(b.hi);
+            dists += format(", %llu]", (unsigned long long)b.count);
         }
         dists += "]}";
     }
@@ -218,14 +220,18 @@ void
 writeSamplesCsv(std::ostream &os, const MetricsSampler &sampler)
 {
     std::string out = "tick";
-    for (const std::string &p : sampler.paths())
-        out += "," + csvField(p);
+    for (const std::string &p : sampler.paths()) {
+        out += ',';
+        out += csvField(p);
+    }
     out += "\n";
     const auto &ticks = sampler.ticks();
     for (std::size_t i = 0; i < ticks.size(); ++i) {
         out += format("%llu", (unsigned long long)ticks[i]);
-        for (std::size_t s = 0; s < sampler.numSeries(); ++s)
-            out += "," + formatStatNumber(sampler.values(s)[i]);
+        for (std::size_t s = 0; s < sampler.numSeries(); ++s) {
+            out += ',';
+            out += formatStatNumber(sampler.values(s)[i]);
+        }
         out += "\n";
     }
     os << out;

@@ -16,6 +16,7 @@
 #include "accel/datapath.hh"
 #include "accel/dddg.hh"
 #include "accel/trace.hh"
+#include "core/fingerprint.hh"
 #include "sim/logging.hh"
 #include "trace/tracer.hh"
 #include "workloads/workload.hh"
@@ -38,7 +39,69 @@ TEST(TraceBuilder, EmitsOpsInProgramOrder)
     EXPECT_EQ(c, 1u);
     Trace t = tb.take();
     EXPECT_EQ(t.ops.size(), 2u);
-    EXPECT_EQ(t.ops[1].deps.size(), 1u);
+    EXPECT_EQ(t.deps(1).size(), 1u);
+}
+
+TEST(TraceBuilder, DependenceListsOfEveryFormLayOutTheSameFlatArray)
+{
+    // The same ops, given their dependences as initializer lists,
+    // vectors and spans.
+    auto build = [](int form) {
+        TraceBuilder tb;
+        int a = tb.addArray("a", 64, 4, true, true);
+        tb.beginIteration();
+        NodeId x = tb.load(a, 0, 4);
+        NodeId y = tb.load(a, 4, 4);
+        const std::vector<NodeId> both{x, y};
+        const std::vector<NodeId> one{x};
+        NodeId s = 0;
+        if (form == 0) {
+            s = tb.op(Opcode::IntAdd, {x, y});
+            tb.store(a, 8, 4, {s});
+            tb.load(a, 12, 4, {x});
+        } else if (form == 1) {
+            s = tb.op(Opcode::IntAdd, both);
+            tb.store(a, 8, 4, std::vector<NodeId>{s});
+            tb.load(a, 12, 4, one);
+        } else {
+            s = tb.op(Opcode::IntAdd, std::span<const NodeId>(both));
+            tb.store(a, 8, 4, std::span<const NodeId>(&s, 1));
+            tb.load(a, 12, 4, std::span<const NodeId>(one));
+        }
+        tb.op(Opcode::Nop);
+        return tb.take();
+    };
+    const Trace lists = build(0);
+    EXPECT_EQ(lists.depOff,
+              (std::vector<std::uint32_t>{0, 0, 0, 2, 3, 4, 4}));
+    EXPECT_EQ(lists.depIds, (std::vector<NodeId>{0, 1, 2, 0}));
+    for (int form : {1, 2}) {
+        const Trace t = build(form);
+        EXPECT_EQ(t.depOff, lists.depOff) << "form " << form;
+        EXPECT_EQ(t.depIds, lists.depIds) << "form " << form;
+        EXPECT_EQ(traceDigest(t), traceDigest(lists)) << "form " << form;
+    }
+}
+
+TEST(TraceBuilder, TakeLeavesAnEmptyBuilder)
+{
+    TraceBuilder tb;
+    int a = tb.addArray("a", 64, 4, true, false);
+    tb.beginIteration();
+    tb.beginIteration();
+    tb.op(Opcode::IntAdd, {tb.load(a, 0, 4)});
+    EXPECT_EQ(tb.take().numIterations, 2u);
+    const Trace &empty = tb.peek();
+    EXPECT_TRUE(empty.arrays.empty());
+    EXPECT_TRUE(empty.ops.empty());
+    EXPECT_TRUE(empty.depIds.empty());
+    EXPECT_EQ(empty.depOff, std::vector<std::uint32_t>{0});
+    EXPECT_EQ(empty.numIterations, 0u);
+    // The next trace starts again at node 0 and iteration 0.
+    a = tb.addArray("b", 64, 4, true, false);
+    tb.beginIteration();
+    EXPECT_EQ(tb.load(a, 0, 4), 0u);
+    EXPECT_EQ(tb.peek().ops[0].iteration, 0u);
 }
 
 TEST(TraceBuilder, RejectsOutOfBoundsAccess)
@@ -164,7 +227,8 @@ struct ReferenceDddg
         std::map<std::pair<int, Addr>, NodeId> lastWriter;
         for (NodeId i = 0; i < t.ops.size(); ++i) {
             const TraceOp &op = t.ops[i];
-            producers[i].insert(op.deps.begin(), op.deps.end());
+            const auto deps = t.deps(i);
+            producers[i].insert(deps.begin(), deps.end());
             NodeId prev = invalidNode;
             for (Addr a = op.offset / 4 * 4; a < op.offset + op.size;
                  a += 4) {

@@ -39,6 +39,7 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "trace/tracer.hh"
+#include "trace_checks.hh"
 #include "workloads/workload.hh"
 
 #ifndef GENIE_GOLDEN_DIR
@@ -304,7 +305,7 @@ loweringMatchesTrace(const Trace &trace, const Dddg &dddg)
         const TraceOp &op = trace.ops[i];
         ++iterationOps.at(op.iteration);
         DddgOp want;
-        bool root = op.deps.empty();
+        bool root = trace.deps(i).empty();
         if (isMemoryOp(op.op)) {
             want.kind = op.op == Opcode::Load ? DddgOp::loadKind
                                               : DddgOp::storeKind;
@@ -363,6 +364,7 @@ TEST(DddgLowering, MatchesEverySeededTrace)
 {
     for (std::uint64_t seed = 1; seed < 9; ++seed) {
         const Trace trace = randomTrace(seed);
+        EXPECT_TRUE(depsAreFlatAndBackward(trace)) << "seed " << seed;
         EXPECT_TRUE(loweringMatchesTrace(trace, Dddg(trace)))
             << "seed " << seed;
     }

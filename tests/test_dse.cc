@@ -672,7 +672,7 @@ TEST(TraceDigest, EveryCoveredFieldChangesIt)
     std::size_t mem = 0, dep = 0;
     while (!isMemoryOp(base.ops.at(mem).op))
         ++mem;
-    while (base.ops.at(dep).deps.empty())
+    while (base.deps(static_cast<NodeId>(dep)).empty())
         ++dep;
 
     const ArrayInfo &a0 = base.arrays[0];
@@ -700,9 +700,21 @@ TEST(TraceDigest, EveryCoveredFieldChangesIt)
         {"access size", [&](Trace &t) { t.ops[mem].size += 1; }},
         {"op iteration", [&](Trace &t) { t.ops[mem].iteration += 1; }},
         {"op offset", [&](Trace &t) { t.ops[mem].offset += 4; }},
-        {"one dep", [&](Trace &t) { t.ops[dep].deps.pop_back(); }},
-        {"dep value", [&](Trace &t) { t.ops[dep].deps[0] += 1; }},
-        {"op count", [](Trace &t) { t.ops.pop_back(); }},
+        {"one dep",
+         [&](Trace &t) {
+             // Drop op dep's last producer; every later op's range
+             // shifts down by one.
+             t.depIds.erase(t.depIds.begin() + t.depOff[dep + 1] - 1);
+             for (std::size_t i = dep + 1; i < t.depOff.size(); ++i)
+                 --t.depOff[i];
+         }},
+        {"dep value", [&](Trace &t) { t.depIds[t.depOff[dep]] += 1; }},
+        {"op count",
+         [](Trace &t) {
+             t.ops.pop_back();
+             t.depOff.pop_back();
+             t.depIds.resize(t.depOff.back());
+         }},
     };
     for (auto &[what, edit] : edits) {
         Trace t = base;
@@ -764,8 +776,9 @@ TEST(SpaceFilter, RejectsARepeatedAxis)
             ADD_FAILURE() << spec << " must be rejected";
         } catch (const FatalError &e) {
             const std::string s = spec;
+            const std::string axis = s.substr(0, s.find('='));
             EXPECT_NE(std::string(e.what()).find(
-                          "'" + s.substr(0, s.find('=')) + "'"),
+                          format("'%s'", axis.c_str())),
                       std::string::npos)
                 << e.what();
         }

@@ -37,7 +37,10 @@
  *
  * Results (--out, "-" = stdout) are the deterministic
  * genie-sweep-results-1 JSON in enumeration order: byte-identical
- * across thread counts and cold/warm/resumed runs. --stats-json
+ * across thread counts and cold/warm/resumed runs. When --out,
+ * --report or --stats-json is "-", the summary, progress, Pareto and
+ * "wrote" lines go to stderr, so stdout carries only that document;
+ * more than one of them on stdout is a usage error. --stats-json
  * exports the engine's StatRegistry block (points done/cached/failed,
  * events, MEPS, store hits).
  *
@@ -233,8 +236,13 @@ main(int argc, char **argv)
             baseOptions.push_back(arg);
         }
     }
-    if (workload.empty())
+    // stdout holds at most one document; when it holds one, every
+    // other line goes to stderr.
+    const int toStdout = (outPath == "-") + (reportPath == "-") +
+                         (statsJsonPath == "-");
+    if (workload.empty() || toStdout > 1)
         return usage();
+    FILE *info = toStdout == 1 ? stderr : stdout;
 
     // Graceful drain: a signal stops the deal of new points;
     // in-flight points finish and are stored normally.
@@ -261,15 +269,16 @@ main(int argc, char **argv)
         }
 
         if (progress) {
-            options.onProgress = [](const SweepProgress &p) {
-                std::printf("\r  %zu/%zu done, %zu cached, %zu "
-                            "failed | %.1f pts/s, ETA %.1fs, hit "
-                            "%.0f%%, occ %.0f%% [%u workers]   ",
-                            p.done, p.total, p.cached, p.failed,
-                            p.pointsPerSecond, p.etaSeconds,
-                            p.cacheHitRate * 100.0,
-                            p.occupancy * 100.0, p.workers);
-                std::fflush(stdout);
+            options.onProgress = [info](const SweepProgress &p) {
+                std::fprintf(info,
+                             "\r  %zu/%zu done, %zu cached, %zu "
+                             "failed | %.1f pts/s, ETA %.1fs, hit "
+                             "%.0f%%, occ %.0f%% [%u workers]   ",
+                             p.done, p.total, p.cached, p.failed,
+                             p.pointsPerSecond, p.etaSeconds,
+                             p.cacheHitRate * 100.0,
+                             p.occupancy * 100.0, p.workers);
+                std::fflush(info);
             };
             // ~30 repaints/s keeps cache-hot sweeps (thousands of
             // points/s) from spending their time in printf.
@@ -281,24 +290,25 @@ main(int argc, char **argv)
         auto points = engine.run(configs, built.trace, dddg);
         auto t1 = std::chrono::steady_clock::now();
         if (progress)
-            std::printf("\n");
+            std::fprintf(info, "\n");
 
         SweepProgress final = engine.progress();
         double wallMs =
             std::chrono::duration<double, std::milli>(t1 - t0)
                 .count();
-        std::printf("sweep %s %s: %zu points — %zu simulated, %zu "
-                    "cached, %zu failed\n",
-                    workload.c_str(), space.c_str(), final.total,
-                    final.done, final.cached, final.failed);
-        std::printf("  wall %.1f ms, %llu events, %.3f MEPS\n",
-                    wallMs,
-                    (unsigned long long)engine.simulatedEvents(),
-                    engine.meps());
+        std::fprintf(info,
+                     "sweep %s %s: %zu points — %zu simulated, %zu "
+                     "cached, %zu failed\n",
+                     workload.c_str(), space.c_str(), final.total,
+                     final.done, final.cached, final.failed);
+        std::fprintf(info, "  wall %.1f ms, %llu events, %.3f MEPS\n",
+                     wallMs,
+                     (unsigned long long)engine.simulatedEvents(),
+                     engine.meps());
         if (engine.storeHits() > 0) {
-            std::printf("  store: %llu hit(s) from %s\n",
-                        (unsigned long long)engine.storeHits(),
-                        storeDir.c_str());
+            std::fprintf(info, "  store: %llu hit(s) from %s\n",
+                         (unsigned long long)engine.storeHits(),
+                         storeDir.c_str());
         }
 
         if (!statsJsonPath.empty()) {
@@ -312,25 +322,27 @@ main(int argc, char **argv)
                                   ? "drained by signal"
                                   : "interrupted";
             if (storeDir.empty()) {
-                std::printf("%s after %zu fresh points; nothing was "
-                            "stored (no --store)\n",
-                            how, final.done);
+                std::fprintf(info,
+                             "%s after %zu fresh points; nothing was "
+                             "stored (no --store)\n",
+                             how, final.done);
             } else {
-                std::printf("%s after %zu fresh points; re-run the "
-                            "same command to resume from %s\n",
-                            how, final.done, storeDir.c_str());
+                std::fprintf(info,
+                             "%s after %zu fresh points; re-run the "
+                             "same command to resume from %s\n",
+                             how, final.done, storeDir.c_str());
             }
             return gDrainRequested.load() ? 5 : 4;
         }
 
         if (pareto) {
-            std::printf("Pareto frontier:\n");
+            std::fprintf(info, "Pareto frontier:\n");
             for (std::size_t i : paretoFrontier(points)) {
                 const auto &p = points[i];
-                std::printf("  %10.1f us %8.2f mW   %s\n",
-                            p.results.totalUs(),
-                            p.results.avgPowerMw,
-                            p.config.describe().c_str());
+                std::fprintf(info, "  %10.1f us %8.2f mW   %s\n",
+                             p.results.totalUs(),
+                             p.results.avgPowerMw,
+                             p.config.describe().c_str());
             }
         }
 
@@ -340,8 +352,8 @@ main(int argc, char **argv)
             if (!writeOutput(outPath, json.str()))
                 return 1;
             if (outPath != "-") {
-                std::printf("wrote %s (%zu points)\n",
-                            outPath.c_str(), points.size());
+                std::fprintf(info, "wrote %s (%zu points)\n",
+                             outPath.c_str(), points.size());
             }
         }
         if (!reportPath.empty()) {
@@ -351,8 +363,8 @@ main(int argc, char **argv)
             if (!writeOutput(reportPath, report))
                 return 1;
             if (reportPath != "-") {
-                std::printf("wrote %s (%zu bytes)\n",
-                            reportPath.c_str(), report.size());
+                std::fprintf(info, "wrote %s (%zu bytes)\n",
+                             reportPath.c_str(), report.size());
             }
         }
         return 0;
