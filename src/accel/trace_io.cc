@@ -1,9 +1,7 @@
 #include "trace_io.hh"
 
-#include <fstream>
 #include <limits>
 #include <sstream>
-#include <utility>
 
 #include "sim/logging.hh"
 
@@ -81,7 +79,8 @@ writeTrace(std::ostream &os, const Trace &trace)
            << (a.privateScratch ? 1 : 0) << '\n';
     }
     std::uint32_t nextIter = 0;
-    for (const auto &op : trace.ops) {
+    for (NodeId i = 0; i < trace.ops.size(); ++i) {
+        const TraceOp &op = trace.ops[i];
         while (nextIter <= op.iteration) {
             os << "iter\n";
             ++nextIter;
@@ -93,7 +92,7 @@ writeTrace(std::ostream &os, const Trace &trace)
         } else {
             os << "op " << opcodeName(op.op);
         }
-        for (NodeId d : op.deps)
+        for (NodeId d : trace.deps(i))
             os << ' ' << d;
         os << '\n';
     }
@@ -157,33 +156,15 @@ readTrace(std::istream &is)
             std::vector<NodeId> deps =
                 readDeps(ss, lineNo, tb.peek().ops.size());
             if (kind == "ld")
-                tb.load(arrayId, offset, size, std::move(deps));
+                tb.load(arrayId, offset, size, deps);
             else
-                tb.store(arrayId, offset, size, std::move(deps));
+                tb.store(arrayId, offset, size, deps);
         } else {
             fatal("trace line %zu: unknown record '%s'", lineNo,
                   kind.c_str());
         }
     }
     return tb.take();
-}
-
-void
-saveTrace(const std::string &path, const Trace &trace)
-{
-    std::ofstream os(path);
-    if (!os)
-        fatal("cannot open '%s' for writing", path.c_str());
-    writeTrace(os, trace);
-}
-
-Trace
-loadTrace(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        fatal("cannot open '%s'", path.c_str());
-    return readTrace(is);
 }
 
 } // namespace genie

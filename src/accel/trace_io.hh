@@ -35,10 +35,6 @@ void writeTrace(std::ostream &os, const Trace &trace);
 /** Parse a trace; fatal() on malformed input. */
 Trace readTrace(std::istream &is);
 
-/** File conveniences. */
-void saveTrace(const std::string &path, const Trace &trace);
-Trace loadTrace(const std::string &path);
-
 /** Parse an opcode mnemonic (fatal() on unknown names). */
 Opcode opcodeFromName(const std::string &name);
 

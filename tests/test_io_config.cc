@@ -1,14 +1,15 @@
 /**
  * @file
- * Tests for textual configuration parsing (option parsing,
- * malformed-input handling, config option round-trips) and for the
- * text report.
+ * Tests for trace serialization and textual configuration parsing:
+ * exact round-trips for every workload trace, malformed-input
+ * handling, option parsing, and config option round-trips.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "accel/trace_io.hh"
 #include "core/config_parse.hh"
 #include "core/report.hh"
 #include "core/validation.hh"
@@ -20,6 +21,166 @@ namespace genie
 {
 namespace
 {
+
+class TraceIoParamTest : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(TraceIoParamTest, RoundTripsExactly)
+{
+    Trace original = makeWorkload(GetParam())->build().trace;
+
+    std::ostringstream os;
+    writeTrace(os, original);
+    std::istringstream is(os.str());
+    Trace copy = readTrace(is);
+
+    ASSERT_EQ(copy.arrays.size(), original.arrays.size());
+    for (std::size_t i = 0; i < original.arrays.size(); ++i) {
+        EXPECT_EQ(copy.arrays[i].name, original.arrays[i].name);
+        EXPECT_EQ(copy.arrays[i].sizeBytes,
+                  original.arrays[i].sizeBytes);
+        EXPECT_EQ(copy.arrays[i].wordBytes,
+                  original.arrays[i].wordBytes);
+        EXPECT_EQ(copy.arrays[i].isInput, original.arrays[i].isInput);
+        EXPECT_EQ(copy.arrays[i].isOutput,
+                  original.arrays[i].isOutput);
+        EXPECT_EQ(copy.arrays[i].privateScratch,
+                  original.arrays[i].privateScratch);
+    }
+
+    ASSERT_EQ(copy.ops.size(), original.ops.size());
+    EXPECT_EQ(copy.numIterations, original.numIterations);
+    for (std::size_t i = 0; i < original.ops.size(); ++i) {
+        const TraceOp &a = original.ops[i];
+        const TraceOp &b = copy.ops[i];
+        ASSERT_EQ(a.op, b.op) << "op " << i;
+        ASSERT_EQ(a.arrayId, b.arrayId) << "op " << i;
+        ASSERT_EQ(a.offset, b.offset) << "op " << i;
+        ASSERT_EQ(a.size, b.size) << "op " << i;
+        ASSERT_EQ(a.iteration, b.iteration) << "op " << i;
+    }
+    EXPECT_EQ(copy.depOff, original.depOff);
+    EXPECT_EQ(copy.depIds, original.depIds);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, TraceIoParamTest,
+    ::testing::ValuesIn(workloadNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        std::string n = info.param;
+        for (auto &c : n)
+            if (c == '-')
+                c = '_';
+        return n;
+    });
+
+TEST(TraceIo, RejectsBadMagic)
+{
+    std::istringstream is("not a trace\n");
+    EXPECT_THROW(readTrace(is), FatalError);
+}
+
+TEST(TraceIo, RejectsUnknownRecord)
+{
+    std::istringstream is("genie-trace v1\nwibble 1 2 3\n");
+    EXPECT_THROW(readTrace(is), FatalError);
+}
+
+TEST(TraceIo, RejectsOpBeforeIter)
+{
+    std::istringstream is("genie-trace v1\n"
+                          "array a 64 4 1 0 0\n"
+                          "op IntAdd\n");
+    EXPECT_THROW(readTrace(is), FatalError);
+}
+
+TEST(TraceIo, RejectsUnknownOpcode)
+{
+    std::istringstream is("genie-trace v1\n"
+                          "array a 64 4 1 0 0\n"
+                          "iter\nop Frobnicate\n");
+    EXPECT_THROW(readTrace(is), FatalError);
+}
+
+/** The producers of @p trace's op @p i, as a vector. */
+std::vector<NodeId>
+depsOf(const Trace &trace, NodeId i)
+{
+    std::span<const NodeId> deps = trace.deps(i);
+    return {deps.begin(), deps.end()};
+}
+
+/** readTrace() over one 64-byte array, one iteration, then @p body. */
+Trace
+readSmallTrace(const std::string &body)
+{
+    std::istringstream is("genie-trace v1\n"
+                          "array a 64 4 1 0 0\n"
+                          "iter\n" +
+                          body);
+    return readTrace(is);
+}
+
+TEST(TraceIo, RejectsUnknownArrayId)
+{
+    EXPECT_THROW(readSmallTrace("ld 1 0 4\n"), FatalError);
+    EXPECT_THROW(readSmallTrace("st -1 0 4\n"), FatalError);
+    // Array ids are 16-bit; a 32769th array would wrap negative.
+    std::string many = "genie-trace v1\n";
+    for (int i = 0; i <= 32768; ++i)
+        many += "array a 4 4 1 0 0\n";
+    std::istringstream is(many);
+    EXPECT_THROW(readTrace(is), FatalError);
+}
+
+TEST(TraceIo, RejectsAccessSizeOutsideOneByte)
+{
+    EXPECT_THROW(readSmallTrace("ld 0 0 0\n"), FatalError);
+    // TraceOp::size is a byte: 256 must not wrap to a 0-byte access.
+    EXPECT_THROW(readSmallTrace("ld 0 0 256\n"), FatalError);
+    EXPECT_EQ(readSmallTrace("ld 0 0 64\n").ops[0].size, 64u);
+}
+
+TEST(TraceIo, RejectsAccessPastArrayEnd)
+{
+    EXPECT_THROW(readSmallTrace("st 0 62 4\n"), FatalError);
+    EXPECT_THROW(readSmallTrace("ld 0 18446744073709551615 4\n"),
+                 FatalError);
+    EXPECT_EQ(readSmallTrace("ld 0 60 4\n").ops.size(), 1u);
+}
+
+TEST(TraceIo, RejectsDependenceOnCurrentOrFutureNode)
+{
+    EXPECT_THROW(readSmallTrace("op IntAdd 0\n"), FatalError);
+    EXPECT_THROW(readSmallTrace("ld 0 0 4\nst 0 4 4 2\n"), FatalError);
+    EXPECT_THROW(readSmallTrace("ld 0 0 4\nop IntAdd 0 x\n"), FatalError);
+    EXPECT_EQ(depsOf(readSmallTrace("ld 0 0 4\nst 0 4 4 0\n"), 1),
+              std::vector<NodeId>{0});
+}
+
+TEST(TraceIo, SkipsCommentsAndBlankLines)
+{
+    std::istringstream is("genie-trace v1\n"
+                          "# a comment\n"
+                          "array a 64 4 1 1 0\n"
+                          "\n"
+                          "iter\n"
+                          "ld 0 0 4\n"
+                          "op IntAdd 0\n"
+                          "st 0 4 4 1\n");
+    Trace t = readTrace(is);
+    EXPECT_EQ(t.ops.size(), 3u);
+    EXPECT_EQ(depsOf(t, 2), std::vector<NodeId>{1});
+}
+
+TEST(TraceIo, OpcodeNamesRoundTrip)
+{
+    for (int i = 0; i <= static_cast<int>(Opcode::Nop); ++i) {
+        auto op = static_cast<Opcode>(i);
+        EXPECT_EQ(opcodeFromName(opcodeName(op)), op);
+    }
+    EXPECT_THROW(opcodeFromName("NotAnOp"), FatalError);
+}
 
 // ---------------------------------------------------------------
 // Config parsing.
@@ -307,6 +468,31 @@ TEST(ConfigValidation, AcceptsWellFormedIfaceConfigs)
          "invocations=8", "irq_latency_ns=2000"}));
     validateSocConfig(
         parseConfig({"mem_type.in=acp", "mem_type.out=dma"}));
+}
+
+TEST(TraceIo, LoadedTraceSimulatesIdentically)
+{
+    // The trace-file workflow end to end: serialize, re-load, build
+    // a fresh DDDG, and simulate — results must be bit-identical.
+    Trace original = makeWorkload("spmv-crs")->build().trace;
+    std::ostringstream os;
+    writeTrace(os, original);
+    std::istringstream is(os.str());
+    Trace loaded = readTrace(is);
+
+    Dddg dddgOrig(original);
+    Dddg dddgLoaded(loaded);
+    SocConfig cfg;
+    cfg.lanes = 4;
+    cfg.spadPartitions = 4;
+    cfg.dma.pipelined = true;
+    cfg.dma.triggeredCompute = true;
+
+    SocResults a = runDesign(cfg, original, dddgOrig);
+    SocResults b = runDesign(cfg, loaded, dddgLoaded);
+    EXPECT_EQ(a.totalTicks, b.totalTicks);
+    EXPECT_DOUBLE_EQ(a.energyPj, b.energyPj);
+    EXPECT_EQ(a.breakdown.computeOnly, b.breakdown.computeOnly);
 }
 
 // ---------------------------------------------------------------
